@@ -25,11 +25,11 @@ from .dual import (
     check_dual_feasibility,
     geometric_ratio,
     solve_dual_geo,
-    solve_dual_negcorr,
     solve_dual_ortho,
 )
 from .errors import (
     CapExceeded,
+    CertificateViolation,
     FactorizationFailure,
     GenerationFailed,
     Infeasible,
@@ -66,6 +66,7 @@ _SOLVER_ERRORS = (
     FactorizationFailure,
     GenerationFailed,
     ZeroDenominator,
+    CertificateViolation,
 )
 
 
@@ -167,7 +168,9 @@ def _cmd_solve(args, argv) -> int:
     solver = {"ortho": _solve_ortho, "negcorr": _solve_negcorr, "geo": _solve_geo}[method]
     p, cert, net, rho_claim, diag = solver(ds, loss, args)
     wall = time.perf_counter() - t0
-    gate = certify(p, cert.objective, rho_claim)
+    # with no network (geo) p is the dual objective over rho, which the
+    # ratio check accepts by construction: nothing is certified
+    certified = certify(p, cert.objective, rho_claim).accepted if net is not None else None
     net_json = json.loads(network_to_json(net)) if net is not None else None
     if args.output and net is not None:
         with open(args.output, "w") as fh:
@@ -183,7 +186,7 @@ def _cmd_solve(args, argv) -> int:
         "lower": cert.objective,
         "factor": p / cert.objective if cert.objective > 0 else None,
         "rho_claimed": rho_claim,
-        "certified": gate.accepted,
+        "certified": certified,
         "seed": args.seed,
         "wall_time_s": wall,
         "diagnostics": diag,
@@ -312,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--tol-class", type=float, default=0.0, dest="tol_class")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; solvers are single-threaded")
         p.add_argument("--output", default=None)
 
     p = sub.add_parser("classify", help="report the dataset regime")

@@ -10,9 +10,10 @@ true bound regardless of how far the splitting iteration has converged.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.optimize
@@ -30,7 +31,6 @@ __all__ = [
     "MinSumNormsResult",
     "solve_min_sum_norms",
     "EllipsoidConfig",
-    "SeparationOracle",
     "ellipsoid_maximize",
 ]
 
@@ -191,16 +191,15 @@ class MinSumNormsProblem:
         penalized mode:  min  sum_j loss(s_j) + beta * sum_i ||u_i||,
                               s = sum_i F_i u_i
 
-    optionally with per-block cone constraints diag(cone_signs[i]) X u_i >= 0
-    (cone_signs rows are +-1; use ``cone_blocks`` to enable per block).
+    optionally with the cone constraints diag(cone_signs[i]) X u_i >= 0 on
+    every block (cone_signs is k x n of +-1; None means no block has one).
     """
 
     X: np.ndarray
     row_weights: np.ndarray  # k x n
     loss: LossModel
     mode: str = "margin"  # "margin" | "penalized"
-    cone_signs: Optional[np.ndarray] = None  # k x n of +-1 where enabled
-    cone_blocks: Optional[np.ndarray] = None  # bool (k,)
+    cone_signs: Optional[np.ndarray] = None  # k x n of +-1
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -213,12 +212,10 @@ class MinSumNormsProblem:
             raise ValueError("every block needs a nonempty row coupling")
         if self.mode not in ("margin", "penalized"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        k = self.row_weights.shape[0]
-        if self.cone_blocks is None:
-            self.cone_blocks = np.zeros(k, dtype=bool) if self.cone_signs is None else np.ones(k, dtype=bool)
-        self.cone_blocks = np.asarray(self.cone_blocks, dtype=bool)
         if self.cone_signs is not None:
             self.cone_signs = np.atleast_2d(np.asarray(self.cone_signs, dtype=float))
+            if self.cone_signs.shape != self.row_weights.shape:
+                raise ValueError("cone_signs must have one row per block and one column per data row")
 
     @property
     def k(self) -> int:
@@ -259,15 +256,9 @@ def _phase1_feasible(prob: MinSumNormsProblem) -> bool:
     )
     mats = [A_margin]
     rhs = [-np.ones(n)]
-    if prob.cone_signs is not None and prob.cone_blocks.any():
-        cone_rows = []
-        for i in range(k):
-            if prob.cone_blocks[i]:
-                cone_rows.append(scipy.sparse.csr_matrix(-prob.cone_signs[i][:, None] * X))
-            else:
-                cone_rows.append(None)
+    if prob.cone_signs is not None:
         blocks = scipy.sparse.block_diag(
-            [r if r is not None else scipy.sparse.csr_matrix((0, d)) for r in cone_rows],
+            [scipy.sparse.csr_matrix(-prob.cone_signs[i][:, None] * X) for i in range(k)],
             format="csr",
         )
         pad = scipy.sparse.csr_matrix((blocks.shape[0], 1))
@@ -291,18 +282,18 @@ CONE_FEAS_RTOL = 1e-11
 
 
 def _repair_cones(prob: MinSumNormsProblem, U: np.ndarray) -> np.ndarray:
-    """Project cone blocks of U onto their feasibility cones.
+    """Project the blocks of U onto their feasibility cones.
 
     Violations at roundoff scale (relative to the block) are left alone;
     the certification treats them as feasible.
     """
-    if prob.cone_signs is None or not prob.cone_blocks.any():
+    if prob.cone_signs is None:
         return U
     X = prob.X
     row_scale = 1.0 + np.linalg.norm(X, axis=1).max()
     U = U.copy()
     vals = prob.cone_signs * (U @ X.T)
-    for i in np.flatnonzero(prob.cone_blocks):
+    for i in range(prob.k):
         scale = row_scale * (1.0 + np.linalg.norm(U[i]))
         if vals[i].min() < -CONE_FEAS_RTOL * scale:
             rows = prob.cone_signs[i][:, None] * X
@@ -317,21 +308,19 @@ def _dual_block_values(
 ) -> np.ndarray:
     """Per-block dual constraint values theta_i = sup_{u in K_i, |u|<=1} lam' F_i u.
 
-    Plain blocks give ||F_i' lam||; cone blocks need the projection onto
-    the cone, computed in decreasing order of the unprojected norm so that
-    blocks which cannot change the maximum are skipped. With ``floor`` set,
-    blocks whose unprojected norm stays below it are never projected (the
-    caller only cares about values above the floor, e.g. a dual budget).
+    Without cones these are ||F_i' lam||; with cones they need the
+    projection onto each cone, computed in decreasing order of the
+    unprojected norm so that blocks which cannot change the maximum are
+    skipped. With ``floor`` set, blocks whose unprojected norm stays below
+    it are never projected (the caller only cares about values above the
+    floor, e.g. a dual budget).
     """
     X = prob.X
     V = (prob.row_weights * lam[None, :]) @ X  # k x d, rows F_i' lam
     theta = np.linalg.norm(V, axis=1)
-    if prob.cone_signs is not None and prob.cone_blocks.any():
-        cone = np.flatnonzero(prob.cone_blocks)
-        plain_max = theta[~prob.cone_blocks].max() if (~prob.cone_blocks).any() else 0.0
-        order = cone[np.argsort(-theta[cone])]
-        tmax = max(plain_max, floor)
-        for i in order:
+    if prob.cone_signs is not None:
+        tmax = floor
+        for i in np.argsort(-theta):
             if theta[i] <= tmax:  # projection never increases the norm
                 continue
             rows = prob.cone_signs[i][:, None] * X
@@ -341,7 +330,7 @@ def _dual_block_values(
 
 
 def _cone_violation(prob, U) -> float:
-    if prob.cone_signs is None or not prob.cone_blocks.any():
+    if prob.cone_signs is None:
         return 0.0
     vals = prob.cone_signs * (U @ prob.X.T)
     row_scale = 1.0 + np.linalg.norm(prob.X, axis=1).max()
@@ -387,14 +376,14 @@ def _certify(prob, U, lam_raw, beta_norm):
 def _block_support_direction(prob: MinSumNormsProblem, i: int, lam: np.ndarray):
     """The direction attaining sup_{u in K_i, |u|<=1} lam' F_i u."""
     v = prob.X.T @ (prob.row_weights[i] * lam)
-    if prob.cone_signs is not None and prob.cone_blocks[i]:
+    if prob.cone_signs is not None:
         rows = prob.cone_signs[i][:, None] * prob.X
         v = project_polyhedral_cone(v, rows)
     nv = np.linalg.norm(v)
     return (v / nv, nv) if nv > 0 else (None, 0.0)
 
 
-def _polish_direction_lp(prob: MinSumNormsProblem, U, beta_norm, block_rtol=1e-5, rounds=60):
+def _polish_direction_lp(prob: MinSumNormsProblem, U, beta_norm, block_rtol):
     """Column generation over frozen block directions.
 
     With directions fixed, the margin program is the LP
@@ -425,7 +414,7 @@ def _polish_direction_lp(prob: MinSumNormsProblem, U, beta_norm, block_rtol=1e-5
     if not cols:
         return None
     out = None
-    for _ in range(rounds):
+    for _ in range(60):
         M = np.stack([RW[i] * (X @ v) for i, v in cols], axis=1)  # n x ncols
         ncols = len(cols)
         if prob.mode == "margin":
@@ -475,16 +464,14 @@ def _polish_direction_lp(prob: MinSumNormsProblem, U, beta_norm, block_rtol=1e-5
     return out
 
 
-def _polish_kkt(
-    prob: MinSumNormsProblem, U, lam, muT, beta_norm,
-    block_rtol=1e-5, row_rtol=1e-6, seen_keys=None,
-):
+def _polish_kkt(prob: MinSumNormsProblem, U, lam, muT, beta_norm, block_rtol, row_rtol, seen_keys):
     """Newton refinement of the KKT system on the active set ADMM identified.
 
     First-order splitting identifies which blocks, margin rows, and cone
     rows are active long before it reaches high accuracy; the KKT equations
     restricted to that structure are smooth and square, so a damped
     Gauss-Newton solve polishes the iterate to near machine precision.
+    ``muT`` holds the splitting's cone multipliers (None without cones).
     Returns a refined (U, lam) pair or None when the guess fails.
     """
     X, RW = prob.X, prob.row_weights
@@ -509,42 +496,35 @@ def _polish_kkt(
         lam = np.clip(lam, 0.0, 1.0)
     else:
         act_rows = np.zeros(0, dtype=int)
-    if seen_keys is not None:
-        key = (act_blocks.tobytes(), act_rows.tobytes())
-        if key in seen_keys:
-            return None
-        seen_keys.add(key)
-
-    cone_rows: list[np.ndarray] = []
-    has_cone = prob.cone_signs is not None
-    for idx, i in enumerate(act_blocks):
-        if has_cone and prob.cone_blocks[i]:
-            vals = prob.cone_signs[i] * (X @ U[i])
-            mu_i = muT[i] if muT is not None else np.zeros(n)
-            act = np.flatnonzero(
-                (np.abs(vals) < 1e-5 * (1.0 + unorms[i])) | (mu_i > 1e-6 * (1.0 + mu_i.max()))
-            )
-            cone_rows.append(act)
-        else:
-            cone_rows.append(np.zeros(0, dtype=int))
-
-    nlam = act_rows.size
-    ncone = [c.size for c in cone_rows]
-    nvar = nA * d + nlam + sum(ncone)
-    if nvar > 400 or nA > 60:
+    key = (act_blocks.tobytes(), act_rows.tobytes())
+    if key in seen_keys:
+        return None
+    seen_keys.add(key)
+    if nA > 60:
         return None  # numeric-Jacobian Newton is not worth it at this size
 
+    nlam = act_rows.size
+    nvar = nA * d + nlam
+    x0 = [U[act_blocks].ravel(), lam[act_rows]]
+    cones = []  # (active-block index, matrix of its active cone rows, slice of x with their multipliers)
+    if prob.cone_signs is not None:
+        for idx, i in enumerate(act_blocks):
+            vals = prob.cone_signs[i] * (X @ U[i])
+            rows = np.flatnonzero(
+                (np.abs(vals) < 1e-5 * (1.0 + unorms[i])) | (muT[i] > 1e-6 * (1.0 + muT[i].max()))
+            )
+            if rows.size:
+                cones.append((idx, prob.cone_signs[i][rows][:, None] * X[rows], slice(nvar, nvar + rows.size)))
+                x0.append(muT[i][rows])
+                nvar += rows.size
+    if nvar > 400:
+        return None  # likewise
+    x0 = np.concatenate(x0)
+
     def unpack(xv):
-        Ua = xv[: nA * d].reshape(nA, d)
         lam_full = np.zeros(n)
-        if mode == "margin" or loss.name == "hinge":
-            lam_full[act_rows] = xv[nA * d : nA * d + nlam]
-        mus = []
-        off = nA * d + nlam
-        for c in ncone:
-            mus.append(xv[off : off + c])
-            off += c
-        return Ua, lam_full, mus
+        lam_full[act_rows] = xv[nA * d : nA * d + nlam]
+        return xv[: nA * d].reshape(nA, d), lam_full
 
     def lam_of_s(sv, lam_full):
         if mode == "margin":
@@ -555,49 +535,29 @@ def _polish_kkt(
             return out
         return loss.dual_from_slope(sv)
 
-    cone_mats = [
-        prob.cone_signs[i][cone_rows[idx]][:, None] * X[cone_rows[idx]] if ncone[idx] else None
-        for idx, i in enumerate(act_blocks)
-    ]
     obj_scale = 1.0 if mode == "margin" else beta_norm
     RW_act = RW[act_blocks]
 
     def residual(xv):
-        Ua, lam_full, mus = unpack(xv)
+        Ua, lam_full = unpack(xv)
         P = Ua @ X.T  # nA x n
         sv = np.einsum("kn,kn->n", RW_act, P)
         lamv = lam_of_s(sv, lam_full)
         G = (RW_act * lamv[None, :]) @ X  # nA x d, rows F_i' lam
-        for idx in range(nA):
-            if ncone[idx]:
-                G[idx] = G[idx] + cone_mats[idx].T @ mus[idx]
+        for idx, C, mu in cones:
+            G[idx] = G[idx] + C.T @ xv[mu]
         nu = np.linalg.norm(Ua, axis=1)
-        res = [(Ua - (nu / obj_scale)[:, None] * G).ravel()]
-        if mode == "margin" or loss.name == "hinge":
-            res.append(sv[act_rows] - 1.0)
-        for idx in range(nA):
-            if ncone[idx]:
-                res.append(cone_mats[idx] @ Ua[idx])
-        return np.concatenate(res) if res else np.zeros(0)
+        res = [(Ua - (nu / obj_scale)[:, None] * G).ravel(), sv[act_rows] - 1.0]
+        res += [C @ Ua[idx] for idx, C, _ in cones]
+        return np.concatenate(res)
 
-    x0 = np.concatenate(
-        [U[act_blocks].ravel(), lam[act_rows] if nlam else np.zeros(0)]
-        + [
-            (muT[i][cone_rows[idx]] if muT is not None else np.zeros(ncone[idx]))
-            for idx, i in enumerate(act_blocks)
-        ]
-    )
-    if x0.size != nvar:
-        return None
     F = residual(x0)
-    if F.size != nvar:
-        return None
     scale = 1.0 + np.abs(x0).max()
     x = x0
     stall = 0
     for _ in range(18):
         nrm = np.linalg.norm(F)
-        if nrm <= 1e-12 * scale * math.sqrt(max(nvar, 1)):
+        if nrm <= 1e-12 * scale * math.sqrt(nvar):
             break
         J = np.empty((F.size, nvar))
         h = 1e-7 * scale
@@ -622,9 +582,9 @@ def _polish_kkt(
             return None
         x = x + t * step
         F = Fn
-    if np.linalg.norm(F) > 1e-9 * scale * math.sqrt(max(nvar, 1)):
+    if np.linalg.norm(F) > 1e-9 * scale * math.sqrt(nvar):
         return None
-    Ua, lam_full, _ = unpack(x)
+    Ua, lam_full = unpack(x)
     U_out = np.zeros_like(U)
     U_out[act_blocks] = Ua
     sv = np.einsum("kn,kn->n", RW, U_out @ X.T)
@@ -634,13 +594,7 @@ def _polish_kkt(
     return U_out, lam_out
 
 
-def solve_min_sum_norms(
-    prob: MinSumNormsProblem,
-    tol: float = 1e-8,
-    max_iter: int = 200000,
-    rho: float = 1.0,
-    check_every: int = 250,
-) -> MinSumNormsResult:
+def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNormsResult:
     """Solve a min-sum-of-norms program by operator splitting (ADMM).
 
     Stops when the certified duality gap drops below tol * (1 + |value|).
@@ -654,57 +608,66 @@ def solve_min_sum_norms(
     k = prob.k
     loss = prob.loss
     beta_norm = 1.0 if prob.mode == "margin" else loss.beta
-    if k > 512:
-        check_every = max(check_every, 1000)  # certification cost grows with k
+    max_iter = 200000
+    rho = 1.0
+    check_every = 250 if k <= 512 else 1000  # certification cost grows with k
     if prob.mode == "margin" and not _phase1_feasible(prob):
         raise Infeasible("margin system has no feasible point")
     if prob.mode == "penalized" and (loss.ell is None or loss.prox is None):
         raise ValueError("penalized mode needs a LossModel with ell and prox")
 
-    has_cone = prob.cone_signs is not None and bool(prob.cone_blocks.any())
-    cone_idx = np.flatnonzero(prob.cone_blocks) if has_cone else np.array([], dtype=int)
-    CS = prob.cone_signs[cone_idx] if has_cone else None
-
-    # Prefactor the block and coupling systems. Cone blocks share
-    # H = I + X'X because the cone sign matrix is orthogonal on rows.
-    XtX = X.T @ X
-    Hc = cho_factor(np.eye(d) + XtX) if has_cone else None
-    gamma = np.zeros(k, dtype=bool)
-    gamma[cone_idx] = True
-    K0 = X @ X.T
-    K1 = X @ cho_solve(Hc, X.T) if has_cone else None
-    W0 = RW[~gamma]
-    M = K0 * (W0.T @ W0) if W0.size else np.zeros((n, n))
+    # Prefactor the block and coupling systems. With cones every block
+    # solves with H = I + X'X (the cone sign matrix is orthogonal on rows)
+    # and couples through K = X H^{-1} X'; without them H = I and K = X X'.
+    CS = prob.cone_signs
+    has_cone = CS is not None
     if has_cone:
-        W1 = RW[gamma]
-        M = M + K1 * (W1.T @ W1)
-    Sfac = cho_factor(np.eye(n) + M)
+        Hc = cho_factor(np.eye(d) + X.T @ X)
+        K = X @ cho_solve(Hc, X.T)
 
-    def hsolve(R):
-        # apply H_i^{-1} block-wise
-        if not has_cone:
+        def hsolve(R):
+            return cho_solve(Hc, R.T).T
+    else:
+        K = X @ X.T
+
+        def hsolve(R):
             return R
-        out = R.copy()
-        out[gamma] = cho_solve(Hc, R[gamma].T).T
-        return out
+    Sfac = cho_factor(np.eye(n) + K * (RW.T @ RW))
 
     U = np.zeros((k, d))
     w = np.zeros((k, d))
     z = np.ones(n) if prob.mode == "margin" else np.zeros(n)
-    T = np.zeros((cone_idx.size, n)) if has_cone else None
+    T = np.zeros((k, n)) if has_cone else None
     aw = np.zeros((k, d))
     az = np.zeros(n)
-    aT = np.zeros((cone_idx.size, n)) if has_cone else None
+    aT = np.zeros((k, n)) if has_cone else None
     s = np.zeros(n)
     w_prev = w
     z_prev = z
     T_prev = T
 
-    best = None  # (gap_rel, pval, dval, U_feas, lam_feas, iteration)
+    best = None  # (gap_rel, pval, dval, U_feas, lam_feas)
     thresh = beta_norm / rho
     next_polish = 6 * check_every  # let easy instances certify on their own first
     polish_tries = 0
     adapt_left = 60
+
+    def accept(U_cand, lam_cand):
+        """Certify a candidate, keep it if it is the best so far, and
+        return the result once its gap is within ``tol``."""
+        nonlocal best
+        pval, dval, U_feas, lam_feas = _certify(prob, U_cand, lam_cand, beta_norm)
+        if not math.isfinite(pval):
+            return None
+        gap = pval - dval
+        rel = gap / (1.0 + abs(pval))
+        if best is None or rel < best[0]:
+            best = (rel, pval, dval, U_feas, lam_feas)
+        if rel <= tol:
+            return MinSumNormsResult(
+                value=pval, blocks=U_feas, lam=lam_feas, gap=gap, iterations=it, dual_value=dval
+            )
+        return None
 
     it = 0
     while it < max_iter:
@@ -713,7 +676,7 @@ def solve_min_sum_norms(
         zhat = z - az
         R = ((RW * zhat[None, :]) @ X) + (w - aw)
         if has_cone:
-            R[cone_idx] += (CS * (T - aT)) @ X
+            R += (CS * (T - aT)) @ X
         Q = hsolve(R)
         b = np.einsum("kn,kn->n", RW, Q @ X.T)
         s = cho_solve(Sfac, b)
@@ -732,7 +695,7 @@ def solve_min_sum_norms(
         else:
             z = loss.prox(zin, rho)
         if has_cone:
-            Vc = CS * (U[cone_idx] @ X.T)
+            Vc = CS * (U @ X.T)
             T = np.maximum(Vc + aT, 0.0)
 
         # --- dual updates
@@ -742,74 +705,26 @@ def solve_min_sum_norms(
             aT += Vc - T
 
         if it % check_every == 0 or it == max_iter:
-            lam_raw = -rho * az
-            pval, dval, U_feas, lam_feas = _certify(prob, U, lam_raw, beta_norm)
-            if math.isfinite(pval):
-                gap = pval - dval
-                rel = gap / (1.0 + abs(pval))
-                if best is None or rel < best[0]:
-                    best = (rel, pval, dval, U_feas, lam_feas, it)
-                if rel <= tol:
-                    return MinSumNormsResult(
-                        value=pval,
-                        blocks=U_feas,
-                        lam=lam_feas,
-                        gap=gap,
-                        iterations=it,
-                        dual_value=dval,
-                    )
+            done = accept(U, -rho * az)
+            if done is not None:
+                return done
             if best is not None and best[0] <= 0.2 and it >= next_polish:
                 # the splitting has identified the active structure; polish
                 # the best certified point so far, backing off on failure
                 polish_tries += 1
                 next_polish = it + 4 * check_every * min(polish_tries, 8)
-                muT_full = None
-                if has_cone:
-                    muT_full = np.zeros((k, n))
-                    muT_full[cone_idx] = rho * aT
                 U_seed, lam_seed = best[3], best[4]
-                done = None
+                muT = rho * aT if has_cone else None
                 seen_keys: set = set()
-                candidates = []
-                for block_rtol in (1e-4, 1e-2):
-                    lp = _polish_direction_lp(prob, U_seed, beta_norm, block_rtol)
-                    if lp is not None:
-                        candidates.append(lp)
+                candidates = itertools.chain(
+                    (_polish_direction_lp(prob, U_seed, beta_norm, br) for br in (1e-4, 1e-2)),
+                    (
+                        _polish_kkt(prob, U_seed, lam_seed, muT, beta_norm, br, rr, seen_keys)
+                        for br, rr in itertools.product((1e-4, 1e-2, 1e-6), (1e-6, 1e-3, 1e-2))
+                    ),
+                )
                 for cand in candidates:
-                    p2, d2, U2, lam2 = _certify(prob, cand[0], cand[1], beta_norm)
-                    if not math.isfinite(p2):
-                        continue
-                    rel2 = (p2 - d2) / (1.0 + abs(p2))
-                    if rel2 < best[0]:
-                        best = (rel2, p2, d2, U2, lam2, it)
-                    if rel2 <= tol:
-                        done = MinSumNormsResult(
-                            value=p2, blocks=U2, lam=lam2,
-                            gap=p2 - d2, iterations=it, dual_value=d2,
-                        )
-                        break
-                if done is not None:
-                    return done
-                for block_rtol in (1e-4, 1e-2, 1e-6):
-                    for row_rtol in (1e-6, 1e-3, 1e-2):
-                        pol = _polish_kkt(
-                            prob, U_seed, lam_seed, muT_full, beta_norm,
-                            block_rtol, row_rtol, seen_keys,
-                        )
-                        if pol is None:
-                            continue
-                        p2, d2, U2, lam2 = _certify(prob, pol[0], pol[1], beta_norm)
-                        if not math.isfinite(p2):
-                            continue
-                        rel2 = (p2 - d2) / (1.0 + abs(p2))
-                        if rel2 < best[0]:
-                            best = (rel2, p2, d2, U2, lam2, it)
-                        if rel2 <= tol:
-                            done = MinSumNormsResult(
-                                value=p2, blocks=U2, lam=lam2,
-                                gap=p2 - d2, iterations=it, dual_value=d2,
-                            )
-                            break
+                    done = None if cand is None else accept(*cand)
                     if done is not None:
                         return done
             # adapt the step scale by primal/dual residual balance; freeze
@@ -836,7 +751,7 @@ def solve_min_sum_norms(
             thresh = beta_norm / rho
 
     if best is not None and best[0] <= 100 * tol:
-        _, pval, dval, U_feas, lam_feas, itb = best
+        _, pval, dval, U_feas, lam_feas = best
         return MinSumNormsResult(
             value=pval,
             blocks=U_feas,
@@ -854,20 +769,6 @@ def solve_min_sum_norms(
 # ---------------------------------------------------------------------------
 # ellipsoid method
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeparationOracle:
-    """Membership test returning None for Inside or a cut (g, h).
-
-    A cut means every point of the body satisfies g @ lam <= h while the
-    query point violates it (strictly, up to the oracle's own tolerance).
-    """
-
-    test: Callable[[np.ndarray], Optional[tuple[np.ndarray, float]]]
-
-    def __call__(self, lam: np.ndarray):
-        return self.test(lam)
 
 
 @dataclass
@@ -897,7 +798,7 @@ class EllipsoidConfig:
             )
 
 
-def _objective_pair(objective, n):
+def _objective_pair(objective):
     if callable(objective):
         raise TypeError("pass a vector or a (value, gradient) tuple")
     if isinstance(objective, tuple):
@@ -916,8 +817,7 @@ def _objective_pair(objective, n):
 
 def ellipsoid_maximize(
     objective,
-    oracle: SeparationOracle,
-    dim: int,
+    oracle: Callable[[np.ndarray], Optional[tuple[np.ndarray, float]]],
     cfg: EllipsoidConfig,
     box_upper: Optional[float] = None,
     track_volume: bool = False,
@@ -925,13 +825,16 @@ def ellipsoid_maximize(
     """Maximize a linear (or concave) objective over {lam >= 0} cap body cap box.
 
     ``objective`` is a vector c for the linear case or a (value, gradient)
-    callable pair for a concave objective. Returns (lam, info) where info
-    holds the certified optimality gap and iteration count; raises
-    :class:`IterationExhausted` when no feasible point could be certified
-    within eps by the iteration budget.
+    callable pair for a concave objective. ``oracle`` is the body's
+    separation oracle: it returns None for a point inside, or a cut (g, h)
+    that every point of the body satisfies, g @ lam <= h, while the query
+    point violates it. The dimension is ``cfg.dim``. Returns (lam, info)
+    where info holds the certified optimality gap and iteration count;
+    raises :class:`IterationExhausted` when no feasible point could be
+    certified within eps by the iteration budget.
     """
-    fval, fgrad = _objective_pair(objective, dim)
-    n = dim
+    fval, fgrad = _objective_pair(objective)
+    n = cfg.dim
     if n == 1:
         return _ellipsoid_1d(fval, fgrad, oracle, cfg, box_upper, track_volume)
 

@@ -20,7 +20,6 @@ import numpy as np
 from .conic import (
     EllipsoidConfig,
     MinSumNormsProblem,
-    SeparationOracle,
     _nnls_small,
     ellipsoid_maximize,
     solve_min_sum_norms,
@@ -34,7 +33,7 @@ from .dataset import (
 )
 from .errors import Infeasible, NonConvergence, WrongRegime, ZeroDenominator
 from .geometry import ENUM_CAP, dual_constraint_maximin, ortho_closed_form, zonotope_vertex_max
-from .maxcut import SdpSolution, c2_fixed_gradient, c2_value_and_gradient
+from .maxcut import c2_fixed_gradient, c2_value_and_gradient
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -197,14 +196,12 @@ class _C2Oracle:
         self.X = X_block
         self.r2 = radius**2
         self.tol = tol
-        self.warm: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self.warm: Optional[tuple] = None
         self.calls = 0
-        self.last: Optional[tuple[np.ndarray, SdpSolution]] = None
 
     def value_bounds(self, lam: np.ndarray, tol: Optional[float] = None):
         value, sol, _ = c2_value_and_gradient(self.X, lam, tol=tol or self.tol, warm=self.warm)
         self.warm = sol.state
-        self.last = (lam.copy(), sol)
         return 0.25 * sol.lower, 0.25 * sol.upper, sol
 
     def __call__(self, lam: np.ndarray):
@@ -249,18 +246,21 @@ def _block_negcorr(
     else:
         objective = (lambda x: float(np.sum(loss.g(x))), lambda x: loss.gprime(x))
     box_upper = loss.box_upper if loss.box_upper < math.inf else None
-    lam, info = ellipsoid_maximize(
-        objective, SeparationOracle(oracle), nb, cfg, box_upper=box_upper
-    )
+    lam, info = ellipsoid_maximize(objective, oracle, cfg, box_upper=box_upper)
     lam = np.maximum(lam, 0.0)
     if box_upper is not None:
         lam = np.minimum(lam, box_upper)
     # rescale into certified feasibility for the surrogate (and so for the
-    # true dual, since c1 <= c2); c2 is degree-2 homogeneous in lam
-    for _ in range(3):
+    # true dual, since c1 <= c2); c2 is degree-2 homogeneous in lam. Every
+    # rescaled point is checked again; at most three rescales are tried.
+    for rescales in range(4):
         _, hi, _ = oracle.value_bounds(lam, tol=0.1 * sdp_tol)
         if hi <= oracle.r2:
             break
+        if rescales == 3:
+            raise NonConvergence(
+                f"certified surrogate bound {hi:.6g} still above radius^2 = {oracle.r2:.6g} after 3 rescales"
+            )
         lam = lam * math.sqrt(oracle.r2 / hi)
     value = float(np.sum(loss.g(lam))) if loss.penalized else float(lam.sum())
     _, sol_final, _ = c2_value_and_gradient(X_block, lam, tol=sdp_tol, warm=oracle.warm)

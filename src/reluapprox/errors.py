@@ -71,3 +71,7 @@ class DimensionMismatch(ReluApproxError):
 
 class CapExceeded(ReluApproxError):
     """Activation-pattern enumeration exceeded its cap."""
+
+
+class CertificateViolation(ReluApproxError):
+    """A certificate check failed: weak duality or an exact verification did not hold."""

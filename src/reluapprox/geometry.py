@@ -10,7 +10,7 @@ function over the box is attained at a 0/1 vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -151,13 +151,9 @@ def dual_constraint_maximin(
     lam_p, lam_m = ds.split_dual(lam)
     lam_p = np.maximum(lam_p, 0.0)
     lam_m = np.maximum(lam_m, 0.0)
-    Ap = ds.X_plus.T * lam_p[None, :]
-    Am = ds.X_minus.T * lam_m[None, :]
-    fwd, b_fwd = _one_sided(Ap, Am, cap)
-    bwd, b_bwd = _one_sided(Am, Ap, cap)
-    if fwd >= bwd:
-        return MaximinReport(forward=fwd, backward=bwd, b_star=b_fwd, side="forward")
-    return MaximinReport(forward=fwd, backward=bwd, b_star=b_bwd, side="backward")
+    Kp = Zonotope(ds.X_plus.T * lam_p[None, :])
+    Km = Zonotope(ds.X_minus.T * lam_m[None, :])
+    return hausdorff_distance(Kp, Km, cap)[1]
 
 
 def ortho_closed_form(ds: Dataset, lam: np.ndarray, tol: float = 0.0) -> tuple[float, float]:

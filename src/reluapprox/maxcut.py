@@ -10,13 +10,12 @@ activation patterns of the data's hyperplane arrangement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.optimize
 
-from .dataset import Dataset
 from .errors import FactorizationFailure, NonConvergence, TooLarge, Unrealizable
 
 BRUTE_CAP = 22
@@ -165,19 +164,14 @@ def _gn_polish(Q, Z, zeta, rank_tol=1e-7, max_steps=40):
     return Z_ref, zeta, max(0.0, -lam_min)
 
 
-def sdp_relaxation(
-    Q: np.ndarray,
-    tol: float = 1e-7,
-    max_iter: int = 100000,
-    warm: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    polish: bool = True,
-) -> SdpSolution:
+def sdp_relaxation(Q: np.ndarray, tol: float = 1e-7, *, warm: Optional[tuple] = None) -> SdpSolution:
     """Solve max tr(ZQ) s.t. diag(Z)=1, Z >= 0 by splitting, then polish.
 
     ADMM alternates the unit-diagonal affine step with a PSD projection;
     a Gauss-Newton refinement of the KKT system then pushes the solution
     to near machine precision when the optimal face is nondegenerate.
     ``lower``/``upper`` are certified primal/dual bounds either way.
+    ``warm`` is the ``state`` of an earlier :class:`SdpSolution`.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     Q = 0.5 * (Q + Q.T)
@@ -188,20 +182,16 @@ def sdp_relaxation(
     scale = max(np.abs(Q).max(), 1e-12)
     rho = scale
     if warm is not None:
-        if len(warm) == 3:
-            S, L, rho = warm[0].copy(), warm[1].copy(), warm[2]
-        else:
-            S, L = warm[0].copy(), warm[1].copy()
-        if polish:
-            # the optimal face usually persists across nearby objectives,
-            # so Newton from the warm state often skips the splitting loop
-            zeta0 = np.diag(Q) - rho * np.diag(L)
-            ref = _gn_polish(Q, S, zeta0)
-            if ref is not None:
-                return _package(Q, ref[0], ref[1] + ref[2], rho, 0.0, 0.0, 0, True)
+        S, L, rho = warm[0].copy(), warm[1].copy(), warm[2]
+        # the optimal face usually persists across nearby objectives, so
+        # Newton from the warm state often skips the splitting loop
+        ref = _gn_polish(Q, S, np.diag(Q) - rho * np.diag(L))
+        if ref is not None:
+            return _package(Q, ref[0], ref[1] + ref[2], rho, 0.0, 0.0, 0, True)
     else:
         S, L = np.eye(m), np.zeros((m, m))
     Z = S.copy()
+    max_iter = 100000
     it = 0
     adapt_left = 30
     pres = dres = math.inf
@@ -229,13 +219,10 @@ def sdp_relaxation(
                     rho = new_rho
     converged = pres <= tol and dres <= tol
     zeta = np.diag(Q) - rho * np.diag(L)
-    polished = False
-    if polish:
-        ref = _gn_polish(Q, S, zeta)
-        if ref is not None:
-            Zp, zeta_p, bump = ref
-            S, zeta = Zp, zeta_p + bump
-            polished = True
+    ref = _gn_polish(Q, S, zeta)
+    polished = ref is not None
+    if polished:
+        S, zeta = ref[0], ref[1] + ref[2]
     if not converged and not polished:
         raise NonConvergence(f"SDP splitting residuals ({pres:.2e}, {dres:.2e}) above {tol:g}")
     return _package(
@@ -339,7 +326,7 @@ def c2_value_and_gradient(
     X: np.ndarray,
     lam: np.ndarray,
     tol: float = 1e-8,
-    warm: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    warm: Optional[tuple] = None,
 ) -> tuple[float, SdpSolution, np.ndarray]:
     """SDP upper bound c2(lam) with its envelope gradient.
 
@@ -427,7 +414,6 @@ def realize_mask_lp(
 
 def realize_pattern(
     X: np.ndarray,
-    sdp: SdpSolution,
     r: np.ndarray,
     lam_tilde: np.ndarray,
     guard_rows: Optional[np.ndarray] = None,

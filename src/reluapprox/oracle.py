@@ -18,7 +18,7 @@ import numpy as np
 
 from .conic import MinSumNormsProblem, project_polyhedral_cone, solve_min_sum_norms
 from .dataset import Dataset, LossModel
-from .errors import CapExceeded, Infeasible, Unbounded
+from .errors import CapExceeded, CertificateViolation, Infeasible, Unbounded
 
 PATTERN_CAP = 10_000
 
@@ -146,10 +146,10 @@ def enumerate_patterns(
     for mask, w in zip(masks, realizers):
         chk = (X @ w >= 0.0).astype(np.int8)
         if not np.array_equal(chk, mask):
-            raise AssertionError("pattern realization check failed")
+            raise CertificateViolation("pattern realization check failed")
     bound = 2 * sum(math.comb(n - 1, kk) for kk in range(r))
     if strict_count > bound:
-        raise AssertionError(f"{strict_count} strict cells exceed the arrangement bound {bound}")
+        raise CertificateViolation(f"{strict_count} strict cells exceed the arrangement bound {bound}")
     return PatternSet(masks=masks, realizers=realizers, strict_count=strict_count)
 
 

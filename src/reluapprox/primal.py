@@ -21,6 +21,7 @@ from .conic import MinSumNormsProblem, solve_min_sum_norms
 from .dataset import Dataset, LossModel
 from .dual import DualCertificate, solve_dual_negcorr
 from .errors import (
+    CertificateViolation,
     DimensionMismatch,
     Infeasible,
     Unrealizable,
@@ -160,21 +161,11 @@ class Certificate:
     reason: str
 
 
-# Documented complexity constants, not experimental targets: approximating
-# the training value within relative error sqrt(84/83) - 1 ~ 0.006 is
-# NP-hard in the worst case, while the negative-correlation pipeline
-# certifies sqrt(pi/2) - 1 ~ 0.253. Desk-scale experiments can exhibit the
-# second constant but cannot exhibit hardness.
-HARDNESS_RELATIVE_ERROR = math.sqrt(84.0 / 83.0) - 1.0
-NEGCORR_RELATIVE_ERROR = math.sqrt(math.pi / 2.0) - 1.0
-
-
 def certify(p: float, lower: float, rho: float, weak_tol: float = 1e-9) -> Certificate:
     """Accept iff lower <= p <= lower / rho * (1 + 1e-8).
 
     A value below the dual lower bound signals a solver bug (weak duality
-    cannot fail); a value above lower/rho exceeds the claimed ratio. See
-    HARDNESS_RELATIVE_ERROR for the regime no certificate can reach.
+    cannot fail); a value above lower/rho exceeds the claimed ratio.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
@@ -219,7 +210,7 @@ def _round_block_masks(X_block, lam_block, sdp, k, guard, rng):
     dropped = 0
     for r in draws:
         try:
-            realized = realize_pattern(X_block, sdp, r, lam_block, guard_rows=guard)
+            realized = realize_pattern(X_block, r, lam_block, guard_rows=guard)
         except Unrealizable:
             dropped += 1
             continue
@@ -352,7 +343,7 @@ def solve_primal_negcorr(
 
     lower = dual_cert.objective
     if p_total < lower - 1e-7 * (1.0 + abs(lower)):
-        raise AssertionError(
+        raise CertificateViolation(
             f"weak duality violated: p={p_total} below dual bound {lower} (solver bug)"
         )
     C1 = tuple(

@@ -139,7 +139,7 @@ def test_criterion_5_pattern_realizability():
         L = V * np.sqrt(np.maximum(w_eig, 0.0))
         for _ in range(10):
             r = rng.standard_normal(n + 1) @ L.T
-            rp = realize_pattern(X, sol, r, lam)
+            rp = realize_pattern(X, r, lam)
             total += 1
             if np.array_equal(rp.mask, rp.mask_target) and np.array_equal(
                 (X @ rp.w >= 0.0).astype(float), rp.mask

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from reluapprox import cli
 from reluapprox.cli import main
 from reluapprox.dataset import generate_synthetic, save_dataset
+from reluapprox.errors import CertificateViolation
 
 
 @pytest.fixture()
@@ -129,3 +131,34 @@ def test_experiment_csv(capsys, tmp_path):
 def test_usage_error_exit_2(capsys):
     code = main(["solve"])  # missing --input
     assert code == 2
+
+
+def test_solve_geo_reports_certified_null(capsys, tmp_path):
+    # geo builds no network and p is objective / rho, which the ratio
+    # check would accept by construction
+    ds = generate_synthetic("general", 7, 2, seed=0)
+    path = tmp_path / "gen.csv"
+    save_dataset(ds, str(path))
+    code, out = run_cli(capsys, "solve", "--input", str(path), "--method", "geo", "--eps", "1e-3")
+    assert code == 0, out
+    report = json.loads(out)
+    assert report["method"] == "geo"
+    assert report["network"] is None
+    assert report["certified"] is None
+
+
+def test_certificate_violation_exit_4(capsys, tmp_path, monkeypatch):
+    def violated(*args, **kwargs):
+        raise CertificateViolation("weak duality violated: p=0.5 below dual bound 1.0")
+
+    monkeypatch.setattr(cli, "solve_primal_negcorr", violated)
+    ds = generate_synthetic("negative_correlation", 6, 2, seed=1)
+    path = tmp_path / "nc.csv"
+    save_dataset(ds, str(path))
+    code = main(["solve", "--input", str(path), "--method", "negcorr"])
+    captured = capsys.readouterr()
+    assert code == 4
+    report = json.loads(captured.out)
+    assert report["error"]["type"] == "CertificateViolation"
+    assert "weak duality" in report["error"]["message"]
+    assert "Traceback" not in captured.out + captured.err

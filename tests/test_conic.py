@@ -6,7 +6,6 @@ import pytest
 from reluapprox.conic import (
     EllipsoidConfig,
     MinSumNormsProblem,
-    SeparationOracle,
     box_constrained_least_squares,
     box_lsq_batch,
     ellipsoid_maximize,
@@ -142,25 +141,25 @@ def _ball_oracle(r2=1.0):
         g = 2.0 * lam
         return g, float(g @ lam - (v - r2))
 
-    return SeparationOracle(test)
+    return test
 
 
 def test_ellipsoid_1d_interval():
     cfg = EllipsoidConfig(radius=10.0, eps=1e-6, dim=1)
-    lam, info = ellipsoid_maximize(np.array([1.0]), _ball_oracle(), 1, cfg)
+    lam, info = ellipsoid_maximize(np.array([1.0]), _ball_oracle(), cfg)
     assert abs(lam[0] - 1.0) < 1e-5
 
 
 def test_ellipsoid_unit_disk():
     cfg = EllipsoidConfig(radius=4.0, eps=1e-6, dim=2)
-    lam, info = ellipsoid_maximize(np.array([1.0, 1.0]), _ball_oracle(), 2, cfg)
+    lam, info = ellipsoid_maximize(np.array([1.0, 1.0]), _ball_oracle(), cfg)
     assert abs(float(lam.sum()) - math.sqrt(2.0)) < 1e-5
 
 
 def test_ellipsoid_log_volume_monotone():
     cfg = EllipsoidConfig(radius=4.0, eps=1e-6, dim=2)
     _, info = ellipsoid_maximize(
-        np.array([1.0, 1.0]), _ball_oracle(), 2, cfg, track_volume=True
+        np.array([1.0, 1.0]), _ball_oracle(), cfg, track_volume=True
     )
     lv = info["log_volumes"]
     assert len(lv) > 5
@@ -170,7 +169,7 @@ def test_ellipsoid_log_volume_monotone():
 def test_ellipsoid_box_cut():
     cfg = EllipsoidConfig(radius=4.0, eps=1e-7, dim=2)
     lam, info = ellipsoid_maximize(
-        np.array([1.0, 1.0]), _ball_oracle(4.0), 2, cfg, box_upper=0.5
+        np.array([1.0, 1.0]), _ball_oracle(4.0), cfg, box_upper=0.5
     )
     assert np.all(lam <= 0.5 + 1e-7)
     assert abs(info["value"] - 1.0) < 1e-5
@@ -203,7 +202,7 @@ def test_ellipsoid_three_point_grid_oracle():
         return g, float(g @ lam - (vals[j] - 1.0))
 
     cfg = EllipsoidConfig(radius=4.0, eps=1e-4, dim=3)
-    lam, info = ellipsoid_maximize(np.ones(3), SeparationOracle(oracle), 3, cfg)
+    lam, info = ellipsoid_maximize(np.ones(3), oracle, cfg)
     # vectorized grid search over [0, 2]^3 at step 0.01
     ax = np.arange(0.0, 2.0001, 0.01)
     grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)

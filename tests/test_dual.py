@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from reluapprox import dual
 from reluapprox.dataset import Dataset, LossModel, generate_synthetic
 from reluapprox.dual import (
     check_dual_feasibility,
@@ -11,7 +12,7 @@ from reluapprox.dual import (
     solve_dual_negcorr,
     solve_dual_ortho,
 )
-from reluapprox.errors import Infeasible, WrongRegime, ZeroDenominator
+from reluapprox.errors import Infeasible, NonConvergence, WrongRegime, ZeroDenominator
 from reluapprox.geometry import dual_constraint_maximin
 from reluapprox.oracle import exact_dual
 
@@ -66,6 +67,21 @@ def test_negcorr_two_point_line_exact():
     cert = solve_dual_negcorr(ds, eps=1e-6)
     assert cert.objective >= 2.0 - 1e-4
     assert check_dual_feasibility(ds, cert.lam).feasible
+
+
+def test_negcorr_rescale_still_above_radius_raises(monkeypatch):
+    # the certified surrogate bound stays above radius^2 through every
+    # rescale, so the block has no certified point to return
+    ds = Dataset([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [1, 1, -1])
+    monkeypatch.setattr(
+        dual, "ellipsoid_maximize",
+        lambda objective, oracle, cfg, box_upper=None: (np.ones(cfg.dim), {"iterations": 0}),
+    )
+    monkeypatch.setattr(
+        dual._C2Oracle, "value_bounds", lambda self, lam, tol=None: (0.0, 4.0 * self.r2, None)
+    )
+    with pytest.raises(NonConvergence, match="still above"):
+        solve_dual_negcorr(ds)
 
 
 def test_negcorr_feasible_and_near_optimal_on_ortho_subset():

@@ -204,7 +204,7 @@ def test_realize_pattern_sampled_masks():
     realized = 0
     for i in range(100):
         r = rng.standard_normal(9) @ L.T
-        rp = realize_pattern(X, sol, r, lam)
+        rp = realize_pattern(X, r, lam)
         assert np.array_equal(
             (X @ rp.w >= 0.0).astype(float), rp.mask
         )
