@@ -252,7 +252,7 @@ def _cmd_maxcut(args, argv) -> int:
     with open(args.matrix) as fh:
         Q = np.array(json.load(fh), dtype=float)
     report = {"schema": "v1", "command": list(argv), "m": int(Q.shape[0])}
-    sol = sdp_relaxation(Q, tol=args.tol)
+    sol = sdp_relaxation(Q)
     report["sdp"] = sol.objective
     report["sdp_bounds"] = [sol.lower, sol.upper]
     if Q.shape[0] <= 22:
@@ -343,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="JSON file with a symmetric PSD matrix")
     p.add_argument("--k", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("experiment", help="seed sweep emitting CSV of (seed, p, P, ratio)")
     p.add_argument("--kind", default="negcorr")

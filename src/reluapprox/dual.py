@@ -31,9 +31,9 @@ from .dataset import (
     LossModel,
     classify_dataset,
 )
-from .errors import Infeasible, NonConvergence, WrongRegime, ZeroDenominator
+from .errors import CertificateViolation, Infeasible, NonConvergence, WrongRegime, ZeroDenominator
 from .geometry import ENUM_CAP, dual_constraint_maximin, ortho_closed_form, zonotope_vertex_max
-from .maxcut import c2_fixed_gradient, c2_value_and_gradient
+from .maxcut import c2_value_and_gradient
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -98,6 +98,20 @@ def check_dual_feasibility(
     return FeasibilityReport(
         constraint_value=value, bound=bound, sign_violation=sign_violation, feasible=feasible
     )
+
+
+def _checked_constraint(ds: Dataset, lam: np.ndarray, radius: float) -> Optional[float]:
+    """Exact dual-constraint value of lam (None above the enumeration cap).
+
+    Raises CertificateViolation when it exceeds the radius, by the rule
+    of :func:`check_dual_feasibility`.
+    """
+    if max(ds.n_plus, ds.n_minus) > ENUM_CAP:
+        return None
+    value = dual_constraint_maximin(ds, lam).value
+    if value > radius * (1.0 + 1e-8):
+        raise CertificateViolation(f"exact dual constraint {value:.10g} exceeds the radius {radius:g}")
+    return value
 
 
 def _block_ortho(X_block: np.ndarray, loss: LossModel, tol: float):
@@ -184,37 +198,30 @@ def solve_dual_ortho(
 
 
 class _C2Oracle:
-    """Separation oracle for {lam >= 0 : c2(lam) <= radius^2} with warm starts.
+    """Separation oracle for {lam >= 0 : c2(lam) <= radius^2}.
 
     Certified SDP bounds drive the answer: Inside needs the dual bound
     below radius^2, a cut needs the feasible (primal) bound above it; the
     cut is the envelope gradient at the feasible maximizer, which supports
-    c2 from below and therefore separates the whole body.
+    c2 from below and therefore separates the whole body. A bracket that
+    straddles radius^2 counts as inside and is fixed by rescaling later.
     """
 
-    def __init__(self, X_block: np.ndarray, radius: float, tol: float = 1e-7):
+    def __init__(self, X_block: np.ndarray, radius: float):
         self.X = X_block
         self.r2 = radius**2
-        self.tol = tol
-        self.warm: Optional[tuple] = None
         self.calls = 0
 
-    def value_bounds(self, lam: np.ndarray, tol: Optional[float] = None):
-        value, sol, _ = c2_value_and_gradient(self.X, lam, tol=tol or self.tol, warm=self.warm)
-        self.warm = sol.state
+    def value_bounds(self, lam: np.ndarray):
+        _, sol, _ = c2_value_and_gradient(self.X, lam)
         return 0.25 * sol.lower, 0.25 * sol.upper, sol
 
     def __call__(self, lam: np.ndarray):
         self.calls += 1
-        lo, hi, sol = self.value_bounds(lam)
-        if hi <= self.r2 * (1.0 + 1e-9):
+        _, sol, grad = c2_value_and_gradient(self.X, lam)
+        lo, hi = 0.25 * sol.lower, 0.25 * sol.upper
+        if hi <= self.r2 * (1.0 + 1e-9) or lo <= self.r2:
             return None
-        if lo <= self.r2 < hi:
-            lo2, hi2, sol2 = self.value_bounds(lam, tol=0.01 * self.tol)
-            lo, sol = max(lo, lo2), sol2
-            if lo <= self.r2:
-                return None  # bracket straddles; accept and fix by rescaling later
-        grad = c2_fixed_gradient(self.X, lam, sol.Z)
         # support inequality: c2(x) >= lo + grad'(x - lam) for all x
         h = float(grad @ lam) + (self.r2 - lo)
         return grad, h
@@ -225,7 +232,6 @@ def _block_negcorr(
     loss: LossModel,
     radius: float,
     eps: Optional[float],
-    sdp_tol: float = 1e-7,
 ):
     """Maximize the block dual gain subject to c2(lam) <= radius^2."""
     nb = X_block.shape[0]
@@ -239,7 +245,7 @@ def _block_negcorr(
     bound0 = float(box.sum())
     if eps is None:
         eps = 1e-4 * max(bound0, 1.0)
-    oracle = _C2Oracle(X_block, radius, tol=sdp_tol)
+    oracle = _C2Oracle(X_block, radius)
     cfg = EllipsoidConfig(radius=R, eps=eps, dim=nb)
     if loss.name in ("maxmargin", "hinge"):
         objective = np.ones(nb)
@@ -253,8 +259,9 @@ def _block_negcorr(
     # rescale into certified feasibility for the surrogate (and so for the
     # true dual, since c1 <= c2); c2 is degree-2 homogeneous in lam. Every
     # rescaled point is checked again; at most three rescales are tried.
+    # The SDP solution of the accepted check goes on to rounding.
     for rescales in range(4):
-        _, hi, _ = oracle.value_bounds(lam, tol=0.1 * sdp_tol)
+        _, hi, sol = oracle.value_bounds(lam)
         if hi <= oracle.r2:
             break
         if rescales == 3:
@@ -263,12 +270,11 @@ def _block_negcorr(
             )
         lam = lam * math.sqrt(oracle.r2 / hi)
     value = float(np.sum(loss.g(lam))) if loss.penalized else float(lam.sum())
-    _, sol_final, _ = c2_value_and_gradient(X_block, lam, tol=sdp_tol, warm=oracle.warm)
     return value, lam, {
         "iterations": info["iterations"],
         "eps": eps,
         "oracle_calls": oracle.calls,
-        "sdp": sol_final,
+        "sdp": sol,
     }
 
 
@@ -277,7 +283,6 @@ def solve_dual_negcorr(
     loss: Optional[LossModel] = None,
     eps: Optional[float] = None,
     class_tol: float = 0.0,
-    sdp_tol: float = 1e-7,
 ) -> DualCertificate:
     """Approximate dual for negative-correlation data via the SDP surrogate.
 
@@ -293,14 +298,12 @@ def solve_dual_negcorr(
         raise WrongRegime(f"dataset classifies as {cls.tag}")
     radius = 1.0 if loss.name == "maxmargin" else loss.beta
     half = None if eps is None else 0.5 * eps
-    vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius, half, sdp_tol)
-    vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius, half, sdp_tol)
+    vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius, half)
+    vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius, half)
     lam = ds.merge_dual(lam_p, lam_m)
     objective = loss.g_total(lam, ds.y)
     rho = SQRT_2_OVER_PI * (loss.C if loss.name not in ("maxmargin", "hinge") else 1.0)
-    constraint = None
-    if max(ds.n_plus, ds.n_minus) <= ENUM_CAP:
-        constraint = dual_constraint_maximin(ds, lam).value
+    constraint = _checked_constraint(ds, lam, radius)
     return DualCertificate(
         lam=lam,
         objective=objective,
@@ -334,7 +337,6 @@ def solve_dual_geo(
     c: float,
     loss: Optional[LossModel] = None,
     eps: Optional[float] = None,
-    sdp_tol: float = 1e-7,
 ) -> DualCertificate:
     """Dual approximation for general data using radii (1, c) and (c, 1).
 
@@ -350,18 +352,18 @@ def solve_dual_geo(
     half = None if eps is None else 0.25 * eps
     homogeneous = loss.name == "maxmargin"
     if homogeneous:
-        vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius, half, sdp_tol)
-        vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius, half, sdp_tol)
+        vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius, half)
+        vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius, half)
         cand = [
             (vp + c * vm, lam_p, c * lam_m, "Dc1"),
             (c * vp + vm, c * lam_p, lam_m, "Dc2"),
         ]
         infos = (info_p, info_m)
     else:
-        vp1, lp1, i1 = _block_negcorr(ds.X_plus, loss, radius, half, sdp_tol)
-        vm1, lm1, i2 = _block_negcorr(ds.X_minus, loss, c * radius, half, sdp_tol)
-        vp2, lp2, i3 = _block_negcorr(ds.X_plus, loss, c * radius, half, sdp_tol)
-        vm2, lm2, i4 = _block_negcorr(ds.X_minus, loss, radius, half, sdp_tol)
+        vp1, lp1, i1 = _block_negcorr(ds.X_plus, loss, radius, half)
+        vm1, lm1, i2 = _block_negcorr(ds.X_minus, loss, c * radius, half)
+        vp2, lp2, i3 = _block_negcorr(ds.X_plus, loss, c * radius, half)
+        vm2, lm2, i4 = _block_negcorr(ds.X_minus, loss, radius, half)
         cand = [(vp1 + vm1, lp1, lm1, "Dc1"), (vp2 + vm2, lp2, lm2, "Dc2")]
         infos = (i1, i2, i3, i4)
     best = max(cand, key=lambda t: t[0])
@@ -370,9 +372,7 @@ def solve_dual_geo(
     rho = (1.0 - c) * SQRT_2_OVER_PI
     if loss.name not in ("maxmargin", "hinge"):
         rho *= loss.C
-    constraint = None
-    if max(ds.n_plus, ds.n_minus) <= ENUM_CAP:
-        constraint = dual_constraint_maximin(ds, lam).value
+    constraint = _checked_constraint(ds, lam, radius)
     p_derived = objective / rho if rho > 0 else math.inf
     return DualCertificate(
         lam=lam,

@@ -14,11 +14,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .errors import FactorizationFailure, NonConvergence, TooLarge, Unrealizable
+from .geometry import binary_vertices
 
 BRUTE_CAP = 22
+SDP_GAP = 1e-10  # interior-point stop: tr(XZ) <= SDP_GAP * max(1, e'y)
+SDP_MAX_ITER = 100
+SDP_CERT_GAP = 1e-7  # largest certified relative gap a solve may return
+DROP_TOL = 1e-12  # rows with a smaller dual weight are left out of pattern realization
 
 __all__ = [
     "SdpSolution",
@@ -42,19 +48,22 @@ def sign_pm(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SdpSolution:
-    """Unit-diagonal SDP optimum with its dual diagonal and residuals."""
+    """Unit-diagonal SDP optimum with its certified bounds.
+
+    ``Z`` is unit-diagonal PSD with ``tr(ZQ) = lower``; ``zeta`` is a dual
+    diagonal with ``Diag(zeta) - Q`` PSD and ``sum(zeta) = upper``.
+    ``iterations`` counts interior-point steps and ``polished`` says whether
+    the solve met its duality-gap target.
+    """
 
     Z: np.ndarray
     objective: float
     zeta: np.ndarray
-    primal_residual: float
-    dual_residual: float
     comp_slack: float
     lower: float  # certified feasible objective
     upper: float  # certified dual bound
     iterations: int = 0
     polished: bool = False
-    state: Optional[tuple] = None  # (S, L, rho) splitting state for warm restarts
 
 
 @dataclass
@@ -77,15 +86,10 @@ def maxcut_bruteforce(Q: np.ndarray, cap: int = BRUTE_CAP) -> tuple[float, np.nd
     if m > cap:
         raise TooLarge(f"m={m} exceeds the brute-force cap {cap}")
     best_val, best_z = -math.inf, None
-    free = m - 1
-    total = 1 << free
-    chunk = 1 << 14
-    ar = np.arange(free, dtype=np.uint64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        Zb = np.empty((idx.size, m))
-        Zb[:, :free] = 2.0 * ((idx[:, None] >> ar[None, :]) & 1) - 1.0
-        Zb[:, free] = 1.0
+    for B in binary_vertices(m - 1):
+        Zb = np.empty((B.shape[0], m))
+        Zb[:, : m - 1] = 2.0 * B - 1.0
+        Zb[:, m - 1] = 1.0
         vals = np.einsum("ij,jk,ik->i", Zb, Q, Zb)
         j = int(np.argmax(vals))
         if vals[j] > best_val:
@@ -94,84 +98,23 @@ def maxcut_bruteforce(Q: np.ndarray, cap: int = BRUTE_CAP) -> tuple[float, np.nd
     return best_val, best_z
 
 
-def _project_psd(M: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(M)
-    w = np.maximum(w, 0.0)
-    return (V * w) @ V.T
+def _max_step(M: np.ndarray, dM: np.ndarray) -> float:
+    """Largest t with M + t dM positive definite, for M positive definite."""
+    w = scipy.linalg.eigh(dM, M, eigvals_only=True, check_finite=False)
+    return -1.0 / w[0] if w[0] < 0.0 else math.inf
 
 
-def _gn_polish(Q, Z, zeta, rank_tol=1e-7, max_steps=40):
-    """Refine (Z, zeta) to machine precision by Gauss-Newton on the KKT system.
+def sdp_relaxation(Q: np.ndarray) -> SdpSolution:
+    """Solve max tr(XQ) s.t. diag(X)=1, X >= 0 by a primal-dual interior-point method.
 
-    Z = R R' with diag(R R') = 1 and (diag(zeta) - Q) R = 0; the rank of R
-    comes from the eigen-gap of the splitting iterate. Returns None when
-    the refinement does not converge (degenerate or wrong rank guess).
-    """
-    m = Q.shape[0]
-    w, V = np.linalg.eigh(0.5 * (Z + Z.T))
-    wmax = max(w.max(), 1e-30)
-    r = max(1, int(np.sum(w > rank_tol * wmax)))
-    R = V[:, m - r :] * np.sqrt(np.maximum(w[m - r :], 0.0))
-    zeta = zeta.copy()
-
-    def residual(zeta, R):
-        F1 = (zeta[:, None] * R) - Q @ R
-        F2 = np.einsum("ij,ij->i", R, R) - 1.0
-        return np.concatenate([F1.ravel(), F2])
-
-    nvar = m + m * r
-    F = residual(zeta, R)
-    scale = 1.0 + np.abs(Q).max()
-    if np.linalg.norm(F) > 0.5 * scale * math.sqrt(m):
-        return None  # rank guess clearly off; not worth a Newton attempt
-    eye_r = np.eye(r)
-    block_rows = np.repeat(np.arange(m) * r, r) + np.tile(np.arange(r), m)
-    for _ in range(max_steps):
-        nrm = np.linalg.norm(F)
-        if nrm <= 1e-13 * scale * math.sqrt(m):
-            break
-        J = np.zeros((F.size, nvar))
-        # dF1/dzeta_j touches only the rows of block j
-        J[block_rows, np.repeat(np.arange(m), r)] = R.ravel()
-        # dF1/dR: row-major vec of (diag(zeta) - Q) dR is a Kronecker block
-        A = -Q.copy()
-        A[np.arange(m), np.arange(m)] += zeta
-        J[: m * r, m:] = np.kron(A, eye_r)
-        # dF2/dR
-        for j in range(m):
-            J[m * r + j, m + j * r : m + (j + 1) * r] = 2.0 * R[j]
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        zeta_n = zeta + step[:m]
-        R_n = R + step[m:].reshape(m, r)
-        F_n = residual(zeta_n, R_n)
-        if np.linalg.norm(F_n) > 0.9 * nrm:
-            t = 0.5
-            while t > 1e-4 and np.linalg.norm(residual(zeta + t * step[:m], R + t * step[m:].reshape(m, r))) > nrm:
-                t *= 0.5
-            zeta_n = zeta + t * step[:m]
-            R_n = R + t * step[m:].reshape(m, r)
-            F_n = residual(zeta_n, R_n)
-        zeta, R, F = zeta_n, R_n, F_n
-    else:
-        return None
-    if np.linalg.norm(F) > 1e-10 * scale * math.sqrt(m):
-        return None
-    S = zeta[:, None] * np.eye(m) - Q
-    lam_min = float(np.linalg.eigvalsh(0.5 * (S + S.T)).min())
-    if lam_min < -1e-9 * scale:
-        return None
-    Z_ref = R @ R.T
-    return Z_ref, zeta, max(0.0, -lam_min)
-
-
-def sdp_relaxation(Q: np.ndarray, tol: float = 1e-7, *, warm: Optional[tuple] = None) -> SdpSolution:
-    """Solve max tr(ZQ) s.t. diag(Z)=1, Z >= 0 by splitting, then polish.
-
-    ADMM alternates the unit-diagonal affine step with a PSD projection;
-    a Gauss-Newton refinement of the KKT system then pushes the solution
-    to near machine precision when the optimal face is nondegenerate.
-    ``lower``/``upper`` are certified primal/dual bounds either way.
-    ``warm`` is the ``state`` of an earlier :class:`SdpSolution`.
+    This is the iteration of Helmberg, Rendl, Vanderbei and Wolkowicz
+    (1996) for the Max-Cut SDP. X stays positive definite with unit
+    diagonal and the dual slack Z = Diag(y) - Q stays positive definite;
+    each step solves (Z^-1 o X) dy = mu diag(Z^-1) - e and moves 0.95 of
+    the way to the boundary, capped at a full step. The loop stops once
+    tr(XZ) <= 1e-10 max(1, e'y) or after 100 steps. ``lower``/``upper``
+    are certified primal/dual bounds; a certified relative gap above 1e-7
+    raises NonConvergence. The result is a pure function of Q.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     Q = 0.5 * (Q + Q.T)
@@ -179,61 +122,44 @@ def sdp_relaxation(Q: np.ndarray, tol: float = 1e-7, *, warm: Optional[tuple] = 
     eigmin = float(np.linalg.eigvalsh(Q).min()) if m else 0.0
     if eigmin < -1e-6 * max(1.0, np.abs(Q).max()):
         raise ValueError(f"Q must be PSD (min eigenvalue {eigmin:.3e})")
-    scale = max(np.abs(Q).max(), 1e-12)
-    rho = scale
-    if warm is not None:
-        S, L, rho = warm[0].copy(), warm[1].copy(), warm[2]
-        # the optimal face usually persists across nearby objectives, so
-        # Newton from the warm state often skips the splitting loop
-        ref = _gn_polish(Q, S, np.diag(Q) - rho * np.diag(L))
-        if ref is not None:
-            return _package(Q, ref[0], ref[1] + ref[2], rho, 0.0, 0.0, 0, True)
-    else:
-        S, L = np.eye(m), np.zeros((m, m))
-    Z = S.copy()
-    max_iter = 100000
-    it = 0
-    adapt_left = 30
-    pres = dres = math.inf
-    while it < max_iter:
-        it += 1
-        Z = S - L + Q / rho
-        np.fill_diagonal(Z, 1.0)
-        S_prev = S
-        S = _project_psd(Z + L)
-        L = L + Z - S
-        if it % 25 == 0 or it == max_iter:
-            pres = np.linalg.norm(Z - S) / (1.0 + np.linalg.norm(Z))
-            dres = rho * np.linalg.norm(S - S_prev) / (1.0 + rho)
-            if pres <= tol and dres <= tol:
-                break
-            if adapt_left > 0:
-                new_rho = rho
-                if pres > 10 * dres:
-                    new_rho = rho * 2.0
-                elif dres > 10 * pres:
-                    new_rho = rho / 2.0
-                if new_rho != rho:
-                    adapt_left -= 1
-                    L *= rho / new_rho
-                    rho = new_rho
-    converged = pres <= tol and dres <= tol
-    zeta = np.diag(Q) - rho * np.diag(L)
-    ref = _gn_polish(Q, S, zeta)
-    polished = ref is not None
-    if polished:
-        S, zeta = ref[0], ref[1] + ref[2]
-    if not converged and not polished:
-        raise NonConvergence(f"SDP splitting residuals ({pres:.2e}, {dres:.2e}) above {tol:g}")
-    return _package(
-        Q, S, zeta, rho,
-        float(pres) if math.isfinite(pres) else 0.0,
-        float(dres) if math.isfinite(dres) else 0.0,
-        it, polished,
-    )
+    absQ = np.abs(Q)
+    # strictly diagonally dominant, so Z is positive definite even where Q has zero rows
+    y = 1.1 * absQ.sum(axis=1) + 0.1 * max(absQ.max(), 1e-12)
+    X = np.eye(m)
+    Z = np.diag(y) - Q
+    step_p = step_d = 0.0
+    for it in range(SDP_MAX_ITER + 1):
+        gap = float(np.sum(X * Z))
+        gap_met = gap <= SDP_GAP * max(1.0, float(y.sum()))
+        if gap_met or it == SDP_MAX_ITER:
+            break
+        # barrier parameter of HRVW: cut harder after long steps
+        mu = gap / (2 * m)
+        if step_p + step_d > 1.6:
+            mu *= 0.5
+        if step_p + step_d > 1.9:
+            mu /= 5.0
+        try:
+            Zi = np.linalg.inv(Z)
+            Zi = 0.5 * (Zi + Zi.T)
+            dy = np.linalg.solve(Zi * X, mu * np.diag(Zi) - 1.0)
+            dX = mu * Zi - X - (Zi * dy) @ X
+            dX = 0.5 * (dX + dX.T)
+            step_p = min(1.0, 0.95 * _max_step(X, dX))
+            step_d = min(1.0, 0.95 * _max_step(Z, np.diag(dy)))
+        except np.linalg.LinAlgError:
+            break  # the last iterate is interior; certify it as it is
+        X = X + step_p * dX
+        y = y + step_d * dy
+        Z = np.diag(y) - Q
+    sol = _package(Q, X, y, it, gap_met)
+    rel_gap = (sol.upper - sol.lower) / max(1.0, abs(sol.upper))
+    if rel_gap > SDP_CERT_GAP:
+        raise NonConvergence(f"SDP certified relative gap {rel_gap:.2e} above {SDP_CERT_GAP:g} after {it} steps")
+    return sol
 
 
-def _package(Q, S, zeta, rho, pres, dres, it, polished) -> SdpSolution:
+def _package(Q, S, zeta, it, polished) -> SdpSolution:
     m = Q.shape[0]
     # certified primal bound: normalize the PSD iterate to unit diagonal
     dg = np.diag(S).copy()
@@ -253,14 +179,11 @@ def _package(Q, S, zeta, rho, pres, dres, it, polished) -> SdpSolution:
         Z=Z_feas,
         objective=0.5 * (lower + upper) if upper >= lower else lower,
         zeta=zeta_feas,
-        primal_residual=pres,
-        dual_residual=dres,
         comp_slack=comp,
         lower=lower,
         upper=upper,
         iterations=it,
         polished=polished,
-        state=(S, (Q - np.diag(zeta_feas)) / rho, rho),
     )
 
 
@@ -322,12 +245,7 @@ def c1_value(X: np.ndarray, lam: np.ndarray, cap: int = BRUTE_CAP) -> float:
     return 0.25 * val
 
 
-def c2_value_and_gradient(
-    X: np.ndarray,
-    lam: np.ndarray,
-    tol: float = 1e-8,
-    warm: Optional[tuple] = None,
-) -> tuple[float, SdpSolution, np.ndarray]:
+def c2_value_and_gradient(X: np.ndarray, lam: np.ndarray) -> tuple[float, SdpSolution, np.ndarray]:
     """SDP upper bound c2(lam) with its envelope gradient.
 
     c2(lam) = (1/4) max_Z tr(Z Q(lam)) over unit-diagonal PSD Z. At the
@@ -340,13 +258,12 @@ def c2_value_and_gradient(
     n = X.shape[0]
     if not np.any(lam != 0.0):
         sol = SdpSolution(
-            Z=np.eye(n + 1), objective=0.0, zeta=np.zeros(n + 1),
-            primal_residual=0.0, dual_residual=0.0, comp_slack=0.0,
+            Z=np.eye(n + 1), objective=0.0, zeta=np.zeros(n + 1), comp_slack=0.0,
             lower=0.0, upper=0.0,
         )
         return 0.0, sol, np.zeros(n)
     Q = dual_quadratic(X, lam)
-    sol = sdp_relaxation(Q, tol=tol, warm=warm)
+    sol = sdp_relaxation(Q)
     value = 0.25 * sol.objective
     grad = c2_fixed_gradient(X, lam, sol.Z)
     return value, sol, grad
@@ -372,13 +289,12 @@ def realize_mask_lp(
     X: np.ndarray,
     mask: np.ndarray,
     guard_rows: Optional[np.ndarray] = None,
-    slack: float = 1.0,
     guard_slack: float = 0.0,
 ) -> np.ndarray:
     """Find w with I(X w >= 0) == mask by LP feasibility, or raise.
 
-    Active rows get x'w >= slack, inactive rows x'w <= -slack (scaling
-    makes any strictly realizable mask feasible at slack 1). Guard rows,
+    Active rows get x'w >= 1, inactive rows x'w <= -1 (scaling makes any
+    strictly realizable mask feasible at unit slack). Guard rows,
     when given, additionally require g'w <= -guard_slack. The all-ones
     mask falls back to w = 0, which realizes it exactly under the >= tie
     convention, provided no guard is requested.
@@ -387,7 +303,7 @@ def realize_mask_lp(
     mask = np.asarray(mask).astype(bool)
     n, d = X.shape
     rows = [np.where(mask[:, None], -X, X)]
-    rhs = [np.full(n, -slack)]
+    rhs = [np.full(n, -1.0)]
     if guard_rows is not None and np.size(guard_rows):
         G = np.atleast_2d(np.asarray(guard_rows, dtype=float))
         rows.append(G)
@@ -417,14 +333,13 @@ def realize_pattern(
     r: np.ndarray,
     lam_tilde: np.ndarray,
     guard_rows: Optional[np.ndarray] = None,
-    drop_tol: float = 1e-12,
 ) -> RealizedPattern:
     """Map a Gaussian draw r ~ N(0, Z) to a realizable activation pattern.
 
     The target mask is b_j = (z_j z_{n+1} + 1)/2 with z = sign(r). At the
     exact SDP optimum the vector w = sign(r_{n+1}) X' diag(lam)(r_{1:n} +
     r_{n+1} 1) realizes it on every row with lam_j > 0; rows with lam_j
-    below ``drop_tol`` are unconstrained and take whatever sign w gives
+    below ``DROP_TOL`` are unconstrained and take whatever sign w gives
     them. When the algebraic vector fails numerically (or violates the
     guard), an LP feasibility solve with unit slack takes over.
     """
@@ -434,7 +349,7 @@ def realize_pattern(
     r = np.asarray(r, dtype=float)
     z = sign_pm(r)
     b_target = ((z[:n] * z[n]) + 1.0) / 2.0
-    keep = lam_tilde > drop_tol
+    keep = lam_tilde > DROP_TOL
     if not keep.any():
         return RealizedPattern(
             mask_target=b_target, mask=np.ones(n), w=np.zeros(X.shape[1]), method="zero"

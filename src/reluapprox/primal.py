@@ -29,6 +29,8 @@ from .errors import (
 )
 from .maxcut import realize_pattern
 
+MAX_ROUNDS = 3  # rounding rounds per block, doubling the draws each time
+
 __all__ = [
     "ReluNetwork",
     "GatedReluNetwork",
@@ -251,7 +253,6 @@ def solve_primal_negcorr(
     seed: int = 0,
     k_override: Optional[int] = None,
     dual_cert: Optional[DualCertificate] = None,
-    max_rounds: int = 3,
 ) -> ApproxResult:
     """End-to-end primal pipeline for negative-correlation data.
 
@@ -288,7 +289,7 @@ def solve_primal_negcorr(
         guard_rows = guard if guard.shape[0] else None
         masks, gates = [], []
         k_round = k
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             m_new, g_new, dropped = _round_block_masks(
                 Xb, lam_b, sdp, k_round, guard_rows, rng
             )

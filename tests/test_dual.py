@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ from reluapprox.dual import (
     solve_dual_negcorr,
     solve_dual_ortho,
 )
-from reluapprox.errors import Infeasible, NonConvergence, WrongRegime, ZeroDenominator
+from reluapprox.errors import (
+    CertificateViolation,
+    Infeasible,
+    NonConvergence,
+    WrongRegime,
+    ZeroDenominator,
+)
 from reluapprox.geometry import dual_constraint_maximin
 from reluapprox.oracle import exact_dual
 
@@ -84,6 +91,14 @@ def test_negcorr_rescale_still_above_radius_raises(monkeypatch):
         solve_dual_negcorr(ds)
 
 
+def test_negcorr_constraint_above_radius_raises(monkeypatch):
+    # the exact maximin is the independent check of the returned dual
+    ds = Dataset([[1.0], [-1.0]], [1, -1])
+    monkeypatch.setattr(dual, "dual_constraint_maximin", lambda ds, lam: SimpleNamespace(value=1.0 + 1e-6))
+    with pytest.raises(CertificateViolation, match="exceeds the radius"):
+        solve_dual_negcorr(ds, eps=1e-3)
+
+
 def test_negcorr_feasible_and_near_optimal_on_ortho_subset():
     for seed in range(3):
         ds = generate_synthetic("orthogonal_separable", 8, 3, seed)
@@ -149,6 +164,13 @@ def test_geo_two_point_line():
     assert cert.objective >= 1.5 - 1e-4  # D_c = 1 + 0.5
     assert cert.objective <= 1.5 + 1e-6
     assert check_dual_feasibility(ds, cert.lam).feasible
+
+
+def test_geo_constraint_above_radius_raises(monkeypatch):
+    ds = Dataset([[1.0], [-1.0]], [1, -1])
+    monkeypatch.setattr(dual, "dual_constraint_maximin", lambda ds, lam: SimpleNamespace(value=1.0 + 1e-6))
+    with pytest.raises(CertificateViolation, match="exceeds the radius"):
+        solve_dual_geo(ds, c=0.5, eps=1e-3)
 
 
 def test_geo_feasible_on_general_data():

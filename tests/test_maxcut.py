@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reluapprox.dataset import Dataset
 from reluapprox.errors import TooLarge, Unrealizable
@@ -66,6 +68,33 @@ def test_sdp_upper_bounds_bruteforce():
         assert sol.lower <= sol.upper + 1e-9
         # complementary slackness diagnostic
         assert sol.comp_slack <= 1e-5 * (1 + abs(sol.objective))
+
+
+@st.composite
+def _psd_with_zero_rows(draw):
+    """Q = B B' with m <= 12, rank <= m and some all-zero rows and columns."""
+    m = draw(st.integers(1, 12))
+    r = draw(st.integers(1, m))
+    entry = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+    B = np.array(draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=m, max_size=m)))
+    B[np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = 0.0
+    return B @ B.T
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_psd_with_zero_rows())
+def test_sdp_certified_property(Q):
+    opt, _ = maxcut_bruteforce(Q)
+    sol = sdp_relaxation(Q)
+    assert sol.lower <= sol.upper
+    assert opt <= sol.upper + 1e-12 * (1.0 + abs(sol.upper))
+    assert (2.0 / math.pi) * sol.lower <= opt + 1e-12 * (1.0 + abs(opt))
+    assert sol.upper - sol.lower <= 1e-9 * (1.0 + abs(sol.upper))
+    assert np.abs(np.diag(sol.Z) - 1.0).max() <= 1e-12
+    assert np.linalg.eigvalsh(sol.Z).min() >= -1e-12
+    again = sdp_relaxation(Q)
+    assert np.array_equal(again.Z, sol.Z)
+    assert (again.lower, again.upper) == (sol.lower, sol.upper)
 
 
 def test_gw_identity_covariance():
@@ -140,13 +169,13 @@ def test_c2_gradient_finite_differences():
         n = 5
         X = rng.standard_normal((n, 2))
         lam = rng.random(n) + 0.2
-        val, sol, grad = c2_value_and_gradient(X, lam, tol=1e-9)
+        val, sol, grad = c2_value_and_gradient(X, lam)
         h = 1e-5
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            vp, *_ = c2_value_and_gradient(X, lam + e, tol=1e-9)
-            vm, *_ = c2_value_and_gradient(X, lam - e, tol=1e-9)
+            vp, *_ = c2_value_and_gradient(X, lam + e)
+            vm, *_ = c2_value_and_gradient(X, lam - e)
             fd = (vp - vm) / (2 * h)
             assert abs(fd - grad[j]) <= 1e-5 * max(1.0, abs(grad[j]))
 
@@ -198,7 +227,7 @@ def test_realize_pattern_sampled_masks():
     X = rng.standard_normal((8, 3))
     lam = rng.random(8) + 0.1
     Q = dual_quadratic(X, lam)
-    sol = sdp_relaxation(Q, tol=1e-9)
+    sol = sdp_relaxation(Q)
     w_eig, V = np.linalg.eigh(sol.Z)
     L = V * np.sqrt(np.maximum(w_eig, 0.0))
     realized = 0
