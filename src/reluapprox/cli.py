@@ -33,7 +33,6 @@ from .errors import (
     FactorizationFailure,
     GenerationFailed,
     Infeasible,
-    IterationExhausted,
     NonConvergence,
     ReluApproxError,
     TooLarge,
@@ -42,7 +41,7 @@ from .errors import (
     WrongRegime,
     ZeroDenominator,
 )
-from .maxcut import gw_round, maxcut_bruteforce, sdp_relaxation
+from .maxcut import BRUTE_CAP, gw_round, maxcut_bruteforce, sdp_relaxation
 from .oracle import exact_dual, exact_primal
 from .primal import (
     build_network_ortho,
@@ -53,11 +52,8 @@ from .primal import (
     solve_primal_negcorr,
 )
 
-SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
 _SOLVER_ERRORS = (
     NonConvergence,
-    IterationExhausted,
     Unrealizable,
     Infeasible,
     Unbounded,
@@ -143,7 +139,7 @@ def _solve_negcorr(ds, loss, args):
 
 
 def _solve_geo(ds, loss, args):
-    cert = solve_dual_geo(ds, c=args.c, loss=loss, eps=args.eps)
+    cert = solve_dual_geo(ds, c=args.c, loss=loss)
     p = cert.meta["p_derived"]
     return p, cert, None, cert.rho, {"c": args.c, "side": cert.meta["side"]}
 
@@ -255,7 +251,7 @@ def _cmd_maxcut(args, argv) -> int:
     sol = sdp_relaxation(Q)
     report["sdp"] = sol.objective
     report["sdp_bounds"] = [sol.lower, sol.upper]
-    if Q.shape[0] <= 22:
+    if Q.shape[0] <= BRUTE_CAP:
         opt, z = maxcut_bruteforce(Q)
         report["opt"] = opt
         report["z_star"] = [int(v) for v in z]
@@ -305,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convex-duality solvers and certified approximations for two-layer ReLU training",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # no abbreviated flags: a removed flag (say --eps) must not turn into another (--eps0)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p, input_required=True):
@@ -317,34 +314,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None)
 
-    p = sub.add_parser("classify", help="report the dataset regime")
+    p = sub.add_parser("classify", help="report the dataset regime", allow_abbrev=False)
     common(p)
 
-    p = sub.add_parser("solve", help="solve by regime and emit a certified result")
+    p = sub.add_parser("solve", help="solve by regime and emit a certified result", allow_abbrev=False)
     common(p)
     p.add_argument("--method", default="auto", choices=["auto", "ortho", "negcorr", "geo"])
     p.add_argument("--c", type=float, default=0.5, help="geometric-ratio parameter for --method geo")
-    p.add_argument("--eps", type=float, default=None, help="ellipsoid accuracy")
     p.add_argument("--eps0", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--k", type=int, default=None, help="override the rounding sample count")
 
-    p = sub.add_parser("verify", help="recompute a saved network against a dataset")
+    p = sub.add_parser("verify", help="recompute a saved network against a dataset", allow_abbrev=False)
     common(p)
     p.add_argument("--network", required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--lower", type=float, default=None)
     p.add_argument("--rho", type=float, default=1.0)
 
-    p = sub.add_parser("oracle", help="exact desk-scale values by pattern enumeration")
+    p = sub.add_parser("oracle", help="exact desk-scale values by pattern enumeration", allow_abbrev=False)
     common(p)
 
-    p = sub.add_parser("maxcut", help="brute force, SDP, and GW rounding on a matrix")
+    p = sub.add_parser("maxcut", help="brute force, SDP, and GW rounding on a matrix", allow_abbrev=False)
     p.add_argument("--matrix", required=True, help="JSON file with a symmetric PSD matrix")
     p.add_argument("--k", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("experiment", help="seed sweep emitting CSV of (seed, p, P, ratio)")
+    p = sub.add_parser("experiment", help="seed sweep emitting CSV of (seed, p, P, ratio)", allow_abbrev=False)
     p.add_argument("--kind", default="negcorr")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--d", type=int, default=3)

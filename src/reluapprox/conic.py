@@ -1,11 +1,14 @@
-"""Solver kernels: box least squares, min-sum-of-norms programs, ellipsoid method.
+"""Solver kernels: box least squares, min-sum-of-norms programs, small SDPs.
 
 All three kernels are deterministic and dependency-light (numpy plus
-scipy.optimize for LP/NNLS plumbing). The min-sum-of-norms solver is an
-operator-splitting (ADMM) scheme whose stopping rule is a *certified*
-duality gap: the primal iterate is repaired to exact feasibility and the
-dual iterate is scaled into its constraint set, so the reported gap is a
-true bound regardless of how far the splitting iteration has converged.
+scipy for LP/NNLS plumbing and eigenvalues). The min-sum-of-norms solver
+is an operator-splitting (ADMM) scheme whose stopping rule is a
+*certified* duality gap: the primal iterate is repaired to exact
+feasibility and the dual iterate is scaled into its constraint set, so the
+reported gap is a true bound regardless of how far the splitting iteration
+has converged. The semidefinite programs (the Max-Cut relaxation and the
+block surrogate dual) share one primal-dual interior-point loop; its
+callers certify what it returns.
 """
 
 from __future__ import annotations
@@ -13,15 +16,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from .dataset import LossModel
-from .errors import Infeasible, IterationExhausted, NonConvergence
+from .errors import Infeasible, NonConvergence
 
 __all__ = [
     "box_constrained_least_squares",
@@ -30,8 +34,6 @@ __all__ = [
     "MinSumNormsProblem",
     "MinSumNormsResult",
     "solve_min_sum_norms",
-    "EllipsoidConfig",
-    "ellipsoid_maximize",
 ]
 
 
@@ -767,187 +769,61 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
 
 
 # ---------------------------------------------------------------------------
-# ellipsoid method
+# interior-point method for small semidefinite programs
 # ---------------------------------------------------------------------------
 
+SDP_GAP = 1e-10  # stop: tr(XZ) <= SDP_GAP * max(1, |b'y|)
+SDP_MAX_ITER = 100
 
-@dataclass
-class EllipsoidConfig:
-    """Initial radius, target accuracy, and iteration budget.
 
-    The budget must respect the standard volume argument,
-    max_iter >= 2 n (n+1) ln(R / eps); the constructor fills in that bound
-    (plus slack) when max_iter is omitted.
+def _max_step(M: np.ndarray, dM: np.ndarray) -> float:
+    """Largest t with M + t dM positive definite, for M positive definite."""
+    w = scipy.linalg.eigh(dM, M, eigvals_only=True, check_finite=False)
+    return -1.0 / w[0] if w[0] < 0.0 else math.inf
+
+
+def _interior_point_sdp(C: np.ndarray, A: np.ndarray, b: np.ndarray, y: np.ndarray):
+    """Solve max tr(CX) s.t. tr(A_i X) = b_i, X >= 0, and its dual, by interior points.
+
+    This is the primal-dual iteration of Helmberg, Rendl, Vanderbei and
+    Wolkowicz (1996). ``A`` is an (m, N, N) stack of symmetric matrices and
+    ``y`` must make the dual slack Z = sum_i y_i A_i - C positive definite;
+    X starts at the identity. Each step solves M dy = mu A(Z^-1) - b with
+    M_ij = tr(A_i X A_j Z^-1), sets dX = mu Z^-1 - X - Z^-1 dZ X and moves
+    0.95 of the way to the boundary, capped at a full step, so X and Z stay
+    positive definite; the primal residual A(X) - b shrinks with each primal
+    step and vanishes (to rounding) at the first full one. The loop stops
+    once tr(XZ) <= 1e-10 max(1, |b'y|) or after 100 steps; a singular
+    Newton system ends it early at the last (interior) iterate. Returns
+    (X, y, Z, steps, met), ``met`` saying whether the gap target was met.
     """
-
-    radius: float
-    eps: float
-    dim: int
-    max_iter: Optional[int] = None
-
-    def __post_init__(self):
-        if self.radius <= 0 or self.eps <= 0:
-            raise ValueError("radius and eps must be positive")
-        n = self.dim
-        bound = 2.0 * n * (n + 1) * max(1.0, math.log(self.radius / self.eps))
-        if self.max_iter is None:
-            self.max_iter = int(math.ceil(bound)) + 64
-        elif self.max_iter < bound:
-            raise ValueError(
-                f"max_iter={self.max_iter} below the volume bound {math.ceil(bound)}"
-            )
-
-
-def _objective_pair(objective):
-    if callable(objective):
-        raise TypeError("pass a vector or a (value, gradient) tuple")
-    if isinstance(objective, tuple):
-        fval, fgrad = objective
-        return fval, fgrad
-    c = np.asarray(objective, dtype=float)
-
-    def fval(x):
-        return float(c @ x)
-
-    def fgrad(x):
-        return c
-
-    return fval, fgrad
-
-
-def ellipsoid_maximize(
-    objective,
-    oracle: Callable[[np.ndarray], Optional[tuple[np.ndarray, float]]],
-    cfg: EllipsoidConfig,
-    box_upper: Optional[float] = None,
-    track_volume: bool = False,
-):
-    """Maximize a linear (or concave) objective over {lam >= 0} cap body cap box.
-
-    ``objective`` is a vector c for the linear case or a (value, gradient)
-    callable pair for a concave objective. ``oracle`` is the body's
-    separation oracle: it returns None for a point inside, or a cut (g, h)
-    that every point of the body satisfies, g @ lam <= h, while the query
-    point violates it. The dimension is ``cfg.dim``. Returns (lam, info)
-    where info holds the certified optimality gap and iteration count;
-    raises :class:`IterationExhausted` when no feasible point could be
-    certified within eps by the iteration budget.
-    """
-    fval, fgrad = _objective_pair(objective)
-    n = cfg.dim
-    if n == 1:
-        return _ellipsoid_1d(fval, fgrad, oracle, cfg, box_upper, track_volume)
-
-    x = np.zeros(n)
-    A = (cfg.radius**2) * np.eye(n)
-    best_x = None
-    best_val = -math.inf
-    certified = False
-    logvol = []
-    cur_logdet = n * math.log(cfg.radius**2)
-
-    it = 0
-    while it < cfg.max_iter:
-        it += 1
-        g = None
-        h = 0.0
-        j = int(np.argmin(x))
-        if x[j] < 0:
-            g = np.zeros(n)
-            g[j] = -1.0
-            h = 0.0
-        elif box_upper is not None and x.max() > box_upper:
-            j = int(np.argmax(x))
-            g = np.zeros(n)
-            g[j] = 1.0
-            h = box_upper
-        else:
-            cut = oracle(x)
-            if cut is not None:
-                g, h = cut
-                g = np.asarray(g, dtype=float)
-            else:
-                val = fval(x)
-                if val > best_val:
-                    best_val = val
-                    best_x = x.copy()
-                gobj = np.asarray(fgrad(x), dtype=float)
-                width = math.sqrt(max(float(gobj @ A @ gobj), 0.0))
-                if val + width <= best_val + cfg.eps:
-                    certified = True
-                    break
-                g = -gobj
-                h = -val
-
-        gAg = float(g @ A @ g)
-        if gAg <= 1e-300:
-            certified = best_x is not None
+    X = np.eye(C.shape[0])
+    Z = np.tensordot(y, A, 1) - C
+    step_p = step_d = 0.0
+    for it in range(SDP_MAX_ITER + 1):
+        gap = float(np.sum(X * Z))
+        met = gap <= SDP_GAP * max(1.0, abs(float(np.sum(b * y))))
+        if met or it == SDP_MAX_ITER:
             break
-        sq = math.sqrt(gAg)
-        alpha = (float(g @ x) - h) / sq
-        if alpha >= 1.0:
-            # the remaining ellipsoid is entirely cut away
-            certified = best_x is not None
-            break
-        if alpha < -1.0 / n:
-            continue
-        Ag = A @ g / sq
-        tau = (1.0 + n * alpha) / (n + 1.0)
-        delta = (n * n / (n * n - 1.0)) * (1.0 - alpha * alpha)
-        sigma = 2.0 * (1.0 + n * alpha) / ((n + 1.0) * (1.0 + alpha))
-        x = x - tau * Ag
-        A = delta * (A - sigma * np.outer(Ag, Ag))
-        A = 0.5 * (A + A.T)
-        if track_volume:
-            cur_logdet += n * math.log(delta) + math.log(max(1.0 - sigma, 1e-300))
-            logvol.append(0.5 * cur_logdet)
-
-    if best_x is None or not certified:
-        raise IterationExhausted(
-            "ellipsoid exhausted its budget"
-            + (f" (best feasible value {best_val:.6g})" if best_x is not None else " with no feasible point")
-        )
-    info = {"value": best_val, "iterations": it, "log_volumes": logvol, "certified": certified}
-    return best_x, info
-
-
-def _ellipsoid_1d(fval, fgrad, oracle, cfg, box_upper, track_volume):
-    lo, hi = 0.0, cfg.radius
-    if box_upper is not None:
-        hi = min(hi, box_upper)
-    best_x, best_val = None, -math.inf
-    logvol = []
-    it = 0
-    while it < cfg.max_iter and hi - lo > 1e-18:
-        it += 1
-        x = 0.5 * (lo + hi)
-        cut = oracle(np.array([x]))
-        if cut is not None:
-            g, h = cut
-            if g[0] > 0:
-                hi = min(hi, h / g[0])
-            elif g[0] < 0:
-                lo = max(lo, h / g[0])
-            else:
-                break
-        else:
-            val = fval(np.array([x]))
-            if val > best_val:
-                best_val, best_x = val, np.array([x])
-            gr = float(np.asarray(fgrad(np.array([x])))[0])
-            if gr >= 0:
-                lo = x
-            else:
-                hi = x
-            if abs(gr) * (hi - lo) <= cfg.eps:
-                break
-        if track_volume:
-            logvol.append(math.log(max(hi - lo, 1e-300)))
-    if best_x is None:
-        raise IterationExhausted("ellipsoid (1-D) found no feasible point")
-    return best_x, {
-        "value": best_val,
-        "iterations": it,
-        "log_volumes": logvol,
-        "certified": True,
-    }
+        # barrier parameter of HRVW: cut harder after long steps
+        mu = gap / (2 * C.shape[0])
+        if step_p + step_d > 1.6:
+            mu *= 0.5
+        if step_p + step_d > 1.9:
+            mu /= 5.0
+        try:
+            Zi = np.linalg.inv(Z)
+            Zi = 0.5 * (Zi + Zi.T)
+            M = np.einsum("ikl,jlk->ij", A @ X, A @ Zi)
+            dy = np.linalg.solve(M, mu * np.einsum("ikl,lk->i", A, Zi) - b)
+            dZ = np.tensordot(dy, A, 1)
+            dX = mu * Zi - X - (Zi @ dZ) @ X
+            dX = 0.5 * (dX + dX.T)
+            step_p = min(1.0, 0.95 * _max_step(X, dX))
+            step_d = min(1.0, 0.95 * _max_step(Z, dZ))
+        except np.linalg.LinAlgError:
+            break  # the last iterate is interior; return it as it is
+        X = X + step_p * dX
+        y = y + step_d * dy
+        Z = np.tensordot(y, A, 1) - C
+    return X, y, Z, it, met

@@ -2,11 +2,13 @@
 
 Orthogonal-separable data splits the dual into two closed-form-constraint
 cone programs solved exactly. Negative-correlation data replaces the
-binary-max constraint with its SDP upper bound c2 and maximizes by the
-ellipsoid method; because c2 dominates the true constraint, the returned
-vector is feasible for the true dual and its objective is within a
-sqrt(2/pi) factor of optimal. General data runs the same machinery with
-asymmetric radii governed by the geometric ratio of the two zonotopes.
+binary-max constraint with its SDP upper bound c2; by SDP duality and a
+Schur complement, maximizing over c2(lam) <= r^2 is one semidefinite
+program per label block, solved by the interior-point method. Because c2
+dominates the true constraint, the returned vector is feasible for the
+true dual and its objective is within a sqrt(2/pi) factor of optimal.
+General data runs the same machinery with asymmetric radii governed by
+the geometric ratio of the two zonotopes.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import (
-    EllipsoidConfig,
-    MinSumNormsProblem,
-    _nnls_small,
-    ellipsoid_maximize,
-    solve_min_sum_norms,
-)
+from .conic import SDP_GAP, MinSumNormsProblem, _interior_point_sdp, _nnls_small, solve_min_sum_norms
 from .dataset import (
     NEGATIVE_CORRELATION,
     ORTHO_SEPARABLE,
@@ -33,7 +29,7 @@ from .dataset import (
 )
 from .errors import CertificateViolation, Infeasible, NonConvergence, WrongRegime, ZeroDenominator
 from .geometry import ENUM_CAP, dual_constraint_maximin, ortho_closed_form, zonotope_vertex_max
-from .maxcut import c2_value_and_gradient
+from .maxcut import dual_quadratic, sdp_relaxation
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -55,7 +51,9 @@ class DualCertificate:
 
     ``objective`` is lam' y for the max-margin loss and sum g((diag(y)
     lam)_i) otherwise; ``rho`` guarantees objective >= rho * D up to the
-    additive solver accuracy recorded in ``eps``.
+    additive solver accuracy recorded in ``eps``: the block duality gaps
+    for ortho, and for negcorr and geo the final interior-point gaps plus
+    the gain that the certified rescale gave up.
     """
 
     lam: np.ndarray
@@ -197,109 +195,118 @@ def solve_dual_ortho(
     )
 
 
-class _C2Oracle:
-    """Separation oracle for {lam >= 0 : c2(lam) <= radius^2}.
+def _block_sdp(X_block: np.ndarray, loss: LossModel, radius: float):
+    """The block surrogate dual as one SDP: data (C, A, b) and a strictly feasible y.
 
-    Certified SDP bounds drive the answer: Inside needs the dual bound
-    below radius^2, a cut needs the feasible (primal) bound above it; the
-    cut is the envelope gradient at the feasible maximizer, which supports
-    c2 from below and therefore separates the whole body. A bracket that
-    straddles radius^2 counts as inside and is fixed by rescaling later.
+    The variables are y = (lam, zeta) and, for the squared hinge, t. The
+    dual slack sum_i y_i A_i - C is block diagonal: the LMI
+    [[Diag(zeta), V], [V', I_d]] with V = [I; 1'] diag(lam) X, then the
+    diagonal entries lam, 4 r^2 - 1'zeta and (hinge) 1 - lam, then
+    (squared hinge) [[t, lam'], [lam, I]]. Minimizing b'y maximizes 1'lam,
+    or 1'lam - t/4. The start point scales lam = 1/|x_j| and a strictly
+    diagonally dominant zeta so that half the budget 4 r^2 is used.
     """
+    nb, d = X_block.shape
+    box = loss.box_upper < math.inf
+    sq = loss.name == "squared_hinge"
+    j, k, e = np.arange(nb), np.arange(nb + 1), np.arange(d)
+    # slack rows: zeta part and I_d part of the LMI, lam >= 0, the budget,
+    # 1 - lam (hinge), then the squared-hinge block
+    lmi = nb + 1 + d
+    budget = lmi + nb
+    top = budget + 1 + (nb if box else 0)
+    order = top + (nb + 1 if sq else 0)
+    A = np.zeros((2 * nb + 1 + sq, order, order))
+    C = np.zeros((order, order))
+    b = np.zeros(2 * nb + 1 + sq)
+    b[:nb] = -1.0
+    A[nb + k, k, k] = 1.0
+    for row in (j, nb):  # rows j and 1' of V
+        A[j, row, nb + 1:lmi] = X_block
+        A[j, nb + 1:lmi, row] = X_block
+    C[nb + 1 + e, nb + 1 + e] = -1.0
+    A[j, lmi + j, lmi + j] = 1.0
+    A[nb + k, budget, budget] = -1.0
+    C[budget, budget] = -4.0 * radius**2
+    if box:
+        A[j, budget + 1 + j, budget + 1 + j] = -1.0
+        C[budget + 1 + j, budget + 1 + j] = -loss.box_upper
+    if sq:
+        A[-1, top, top] = 1.0
+        A[j, top, top + 1 + j] = A[j, top + 1 + j, top] = 1.0
+        C[top + 1 + j, top + 1 + j] = -1.0
+        b[-1] = 0.25
+    norms = np.linalg.norm(X_block, axis=1)
+    absQ = np.abs(dual_quadratic(X_block, 1.0 / norms))
+    zeta = 1.1 * absQ.sum(axis=1) + 0.1 * absQ.max()
+    s = radius * math.sqrt(2.0 / zeta.sum())
+    if box:
+        s = min(s, 0.5 * loss.box_upper * norms.min())
+    lam = s / norms
+    y = np.concatenate([lam, s * s * zeta, [1.0 + lam @ lam] if sq else []])
+    return C, A, b, y
 
-    def __init__(self, X_block: np.ndarray, radius: float):
-        self.X = X_block
-        self.r2 = radius**2
-        self.calls = 0
 
-    def value_bounds(self, lam: np.ndarray):
-        _, sol, _ = c2_value_and_gradient(self.X, lam)
-        return 0.25 * sol.lower, 0.25 * sol.upper, sol
+def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
+    """Maximize the block dual gain subject to c2(lam) <= radius^2.
 
-    def __call__(self, lam: np.ndarray):
-        self.calls += 1
-        _, sol, grad = c2_value_and_gradient(self.X, lam)
-        lo, hi = 0.25 * sol.lower, 0.25 * sol.upper
-        if hi <= self.r2 * (1.0 + 1e-9) or lo <= self.r2:
-            return None
-        # support inequality: c2(x) >= lo + grad'(x - lam) for all x
-        h = float(grad @ lam) + (self.r2 - lo)
-        return grad, h
-
-
-def _block_negcorr(
-    X_block: np.ndarray,
-    loss: LossModel,
-    radius: float,
-    eps: Optional[float],
-):
-    """Maximize the block dual gain subject to c2(lam) <= radius^2."""
+    By SDP duality 4 c2(lam) is the least 1'zeta with Diag(zeta) >= Q(lam)
+    = V V', and by a Schur complement that holds iff [[Diag(zeta), V],
+    [V', I]] >= 0. So the block is the single SDP of :func:`_block_sdp`,
+    solved by the shared interior-point loop from a strictly feasible point.
+    Its lam is scaled in by the check's own gap target, then checked by a
+    certified :func:`sdp_relaxation` and scaled down (c2 is degree-2
+    homogeneous in lam) until the certified bound is at most radius^2; at
+    most three rescales are tried. ``eps`` is the final interior-point gap
+    plus the gain the scaling gave up.
+    """
     nb = X_block.shape[0]
     if nb == 0:
         return 0.0, np.zeros(0), {"iterations": 0, "eps": 0.0}
-    norms = np.linalg.norm(X_block, axis=1)
-    box = radius / norms
-    if loss.box_upper < math.inf:
-        box = np.minimum(box, loss.box_upper)
-    R = float(radius * np.sum(1.0 / norms) + 1.0)
-    bound0 = float(box.sum())
-    if eps is None:
-        eps = 1e-4 * max(bound0, 1.0)
-    oracle = _C2Oracle(X_block, radius)
-    cfg = EllipsoidConfig(radius=R, eps=eps, dim=nb)
-    if loss.name in ("maxmargin", "hinge"):
-        objective = np.ones(nb)
-    else:
-        objective = (lambda x: float(np.sum(loss.g(x))), lambda x: loss.gprime(x))
-    box_upper = loss.box_upper if loss.box_upper < math.inf else None
-    lam, info = ellipsoid_maximize(objective, oracle, cfg, box_upper=box_upper)
-    lam = np.maximum(lam, 0.0)
-    if box_upper is not None:
-        lam = np.minimum(lam, box_upper)
-    # rescale into certified feasibility for the surrogate (and so for the
-    # true dual, since c1 <= c2); c2 is degree-2 homogeneous in lam. Every
-    # rescaled point is checked again; at most three rescales are tried.
-    # The SDP solution of the accepted check goes on to rounding.
+    primal, y, slack, steps, _ = _interior_point_sdp(*_block_sdp(X_block, loss, radius))
+    solved = float(np.sum(loss.g(y[:nb])))
+    r2 = radius**2
+    # y[:nb] > 0 (and < 1 for hinge) has c2 below r2 by about the solve's gap;
+    # the certified bound may exceed c2 by up to SDP_GAP max(1, 4 r2), so
+    # lam starts scaled in by twice that
+    lam = y[:nb] * math.sqrt(max(0.0, 1.0 - 2.0 * SDP_GAP * max(1.0, 4.0 * r2) / (4.0 * r2)))
+    # the SDP solution of the accepted check goes on to rounding
     for rescales in range(4):
-        _, hi, sol = oracle.value_bounds(lam)
-        if hi <= oracle.r2:
+        sol = sdp_relaxation(dual_quadratic(X_block, lam))
+        hi = 0.25 * sol.upper
+        if hi <= r2:
             break
         if rescales == 3:
             raise NonConvergence(
-                f"certified surrogate bound {hi:.6g} still above radius^2 = {oracle.r2:.6g} after 3 rescales"
+                f"certified surrogate bound {hi:.6g} still above radius^2 = {r2:.6g} after 3 rescales"
             )
-        lam = lam * math.sqrt(oracle.r2 / hi)
-    value = float(np.sum(loss.g(lam))) if loss.penalized else float(lam.sum())
-    return value, lam, {
-        "iterations": info["iterations"],
-        "eps": eps,
-        "oracle_calls": oracle.calls,
-        "sdp": sol,
-    }
+        lam = lam * math.sqrt(r2 / hi)
+    value = float(np.sum(loss.g(lam)))
+    eps = float(np.sum(primal * slack)) + max(solved - value, 0.0)
+    return value, lam, {"iterations": steps, "eps": eps, "sdp": sol}
 
 
 def solve_dual_negcorr(
     ds: Dataset,
     loss: Optional[LossModel] = None,
-    eps: Optional[float] = None,
     class_tol: float = 0.0,
 ) -> DualCertificate:
     """Approximate dual for negative-correlation data via the SDP surrogate.
 
     Each label block is a one-class problem max sum g(lam) s.t.
-    c2(lam) <= beta^2 solved by the ellipsoid method with the c2 separation
-    oracle. The result is feasible for the true dual and its objective is
-    at least sqrt(2/pi) * D - eps (times the loss constant C for general
-    losses).
+    c2(lam) <= beta^2, solved as one semidefinite program (the Schur
+    complement form of :func:`_block_negcorr`). The result is feasible for
+    the true dual and its objective is at least sqrt(2/pi) * D - eps (times
+    the loss constant C for general losses), with ``eps`` the final
+    interior-point gaps plus what the rescale checks gave up.
     """
     loss = loss or LossModel.max_margin()
     cls = classify_dataset(ds, tol=class_tol)
     if cls.tag not in (ORTHO_SEPARABLE, NEGATIVE_CORRELATION):
         raise WrongRegime(f"dataset classifies as {cls.tag}")
     radius = 1.0 if loss.name == "maxmargin" else loss.beta
-    half = None if eps is None else 0.5 * eps
-    vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius, half)
-    vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius, half)
+    vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius)
+    vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius)
     lam = ds.merge_dual(lam_p, lam_m)
     objective = loss.g_total(lam, ds.y)
     rho = SQRT_2_OVER_PI * (loss.C if loss.name not in ("maxmargin", "hinge") else 1.0)
@@ -336,34 +343,33 @@ def solve_dual_geo(
     ds: Dataset,
     c: float,
     loss: Optional[LossModel] = None,
-    eps: Optional[float] = None,
 ) -> DualCertificate:
     """Dual approximation for general data using radii (1, c) and (c, 1).
 
     The caller asserts c <= min(c*, 1/c*). Both asymmetric problems are
-    solved (each block by the ellipsoid + SDP machinery) and the better
-    feasible objective kept; the guarantee is objective >=
-    sqrt(2/pi) (1-c) D - eps.
+    solved (each block as one SDP, as in :func:`solve_dual_negcorr`) and the
+    better feasible objective kept; the guarantee is objective >=
+    sqrt(2/pi) (1-c) D - eps, with ``eps`` the sum of the block solves'
+    interior-point gaps and rescale losses.
     """
     loss = loss or LossModel.max_margin()
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
     radius = 1.0 if loss.name == "maxmargin" else loss.beta
-    half = None if eps is None else 0.25 * eps
     homogeneous = loss.name == "maxmargin"
     if homogeneous:
-        vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius, half)
-        vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius, half)
+        vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius)
+        vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius)
         cand = [
             (vp + c * vm, lam_p, c * lam_m, "Dc1"),
             (c * vp + vm, c * lam_p, lam_m, "Dc2"),
         ]
         infos = (info_p, info_m)
     else:
-        vp1, lp1, i1 = _block_negcorr(ds.X_plus, loss, radius, half)
-        vm1, lm1, i2 = _block_negcorr(ds.X_minus, loss, c * radius, half)
-        vp2, lp2, i3 = _block_negcorr(ds.X_plus, loss, c * radius, half)
-        vm2, lm2, i4 = _block_negcorr(ds.X_minus, loss, radius, half)
+        vp1, lp1, i1 = _block_negcorr(ds.X_plus, loss, radius)
+        vm1, lm1, i2 = _block_negcorr(ds.X_minus, loss, c * radius)
+        vp2, lp2, i3 = _block_negcorr(ds.X_plus, loss, c * radius)
+        vm2, lm2, i4 = _block_negcorr(ds.X_minus, loss, radius)
         cand = [(vp1 + vm1, lp1, lm1, "Dc1"), (vp2 + vm2, lp2, lm2, "Dc2")]
         infos = (i1, i2, i3, i4)
     best = max(cand, key=lambda t: t[0])

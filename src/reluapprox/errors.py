@@ -45,10 +45,6 @@ class Unbounded(ReluApproxError):
     """A maximization problem has unbounded value (non-separable max-margin dual)."""
 
 
-class IterationExhausted(ReluApproxError):
-    """The ellipsoid method ran out of iterations before certifying optimality."""
-
-
 class FactorizationFailure(ReluApproxError):
     """A covariance factorization needed for Gaussian sampling failed."""
 

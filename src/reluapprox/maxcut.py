@@ -14,17 +14,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
+from .conic import _interior_point_sdp
 from .errors import FactorizationFailure, NonConvergence, TooLarge, Unrealizable
 from .geometry import binary_vertices
 
 BRUTE_CAP = 22
-SDP_GAP = 1e-10  # interior-point stop: tr(XZ) <= SDP_GAP * max(1, e'y)
-SDP_MAX_ITER = 100
 SDP_CERT_GAP = 1e-7  # largest certified relative gap a solve may return
-DROP_TOL = 1e-12  # rows with a smaller dual weight are left out of pattern realization
+DROP_TOL = 1e-8  # rows with dual weight at most DROP_TOL * max(lam) are left out of pattern realization
 
 __all__ = [
     "SdpSolution",
@@ -98,22 +96,15 @@ def maxcut_bruteforce(Q: np.ndarray, cap: int = BRUTE_CAP) -> tuple[float, np.nd
     return best_val, best_z
 
 
-def _max_step(M: np.ndarray, dM: np.ndarray) -> float:
-    """Largest t with M + t dM positive definite, for M positive definite."""
-    w = scipy.linalg.eigh(dM, M, eigvals_only=True, check_finite=False)
-    return -1.0 / w[0] if w[0] < 0.0 else math.inf
-
-
 def sdp_relaxation(Q: np.ndarray) -> SdpSolution:
     """Solve max tr(XQ) s.t. diag(X)=1, X >= 0 by a primal-dual interior-point method.
 
-    This is the iteration of Helmberg, Rendl, Vanderbei and Wolkowicz
-    (1996) for the Max-Cut SDP. X stays positive definite with unit
-    diagonal and the dual slack Z = Diag(y) - Q stays positive definite;
-    each step solves (Z^-1 o X) dy = mu diag(Z^-1) - e and moves 0.95 of
-    the way to the boundary, capped at a full step. The loop stops once
-    tr(XZ) <= 1e-10 max(1, e'y) or after 100 steps. ``lower``/``upper``
-    are certified primal/dual bounds; a certified relative gap above 1e-7
+    This is the shared interior-point loop of Helmberg, Rendl, Vanderbei
+    and Wolkowicz (1996) with A_i = e_i e_i': X stays positive definite with
+    unit diagonal and the dual slack Z = Diag(y) - Q stays positive definite;
+    each step solves (Z^-1 o X) dy = mu diag(Z^-1) - e. The loop stops once
+    tr(XZ) <= 1e-10 max(1, e'y) or after 100 steps. ``lower``/``upper`` are
+    certified primal/dual bounds; a certified relative gap above 1e-7
     raises NonConvergence. The result is a pure function of Q.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -125,33 +116,9 @@ def sdp_relaxation(Q: np.ndarray) -> SdpSolution:
     absQ = np.abs(Q)
     # strictly diagonally dominant, so Z is positive definite even where Q has zero rows
     y = 1.1 * absQ.sum(axis=1) + 0.1 * max(absQ.max(), 1e-12)
-    X = np.eye(m)
-    Z = np.diag(y) - Q
-    step_p = step_d = 0.0
-    for it in range(SDP_MAX_ITER + 1):
-        gap = float(np.sum(X * Z))
-        gap_met = gap <= SDP_GAP * max(1.0, float(y.sum()))
-        if gap_met or it == SDP_MAX_ITER:
-            break
-        # barrier parameter of HRVW: cut harder after long steps
-        mu = gap / (2 * m)
-        if step_p + step_d > 1.6:
-            mu *= 0.5
-        if step_p + step_d > 1.9:
-            mu /= 5.0
-        try:
-            Zi = np.linalg.inv(Z)
-            Zi = 0.5 * (Zi + Zi.T)
-            dy = np.linalg.solve(Zi * X, mu * np.diag(Zi) - 1.0)
-            dX = mu * Zi - X - (Zi * dy) @ X
-            dX = 0.5 * (dX + dX.T)
-            step_p = min(1.0, 0.95 * _max_step(X, dX))
-            step_d = min(1.0, 0.95 * _max_step(Z, np.diag(dy)))
-        except np.linalg.LinAlgError:
-            break  # the last iterate is interior; certify it as it is
-        X = X + step_p * dX
-        y = y + step_d * dy
-        Z = np.diag(y) - Q
+    A = np.zeros((m, m, m))
+    A[np.arange(m), np.arange(m), np.arange(m)] = 1.0
+    X, y, _, it, gap_met = _interior_point_sdp(Q, A, np.ones(m), y)
     sol = _package(Q, X, y, it, gap_met)
     rel_gap = (sol.upper - sol.lower) / max(1.0, abs(sol.upper))
     if rel_gap > SDP_CERT_GAP:
@@ -187,16 +154,13 @@ def _package(Q, S, zeta, it, polished) -> SdpSolution:
     )
 
 
-def gw_round(Z: np.ndarray, Q: np.ndarray, k: int, seed: int) -> RoundingBatch:
-    """Draw k sign vectors z = sign(r), r ~ N(0, Z), and score z'Qz.
+def psd_factor(Z: np.ndarray) -> np.ndarray:
+    """A factor L with L L' = Z, for drawing r = L g ~ N(0, Z).
 
     Z is projected up to the PSD cone and renormalized to unit diagonal if
-    slightly infeasible. Masks pair each coordinate with the last one:
-    b_j = (z_j z_m + 1) / 2.
+    slightly infeasible (an eigenvalue below -1e-6).
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    m = Z.shape[0]
     w, V = np.linalg.eigh(0.5 * (Z + Z.T))
     if w.min() < -1e-6:
         Zc = (V * np.maximum(w, 0.0)) @ V.T
@@ -209,6 +173,18 @@ def gw_round(Z: np.ndarray, Q: np.ndarray, k: int, seed: int) -> RoundingBatch:
     L = V * np.sqrt(np.maximum(w, 0.0))
     if not np.all(np.isfinite(L)):
         raise FactorizationFailure("non-finite factor")
+    return L
+
+
+def gw_round(Z: np.ndarray, Q: np.ndarray, k: int, seed: int) -> RoundingBatch:
+    """Draw k sign vectors z = sign(r), r ~ N(0, Z), and score z'Qz.
+
+    Z is factored by :func:`psd_factor`. Masks pair each coordinate with the
+    last one: b_j = (z_j z_m + 1) / 2.
+    """
+    L = psd_factor(Z)
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    m = L.shape[0]
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((k, m))
     R = G @ L.T
@@ -338,9 +314,9 @@ def realize_pattern(
 
     The target mask is b_j = (z_j z_{n+1} + 1)/2 with z = sign(r). At the
     exact SDP optimum the vector w = sign(r_{n+1}) X' diag(lam)(r_{1:n} +
-    r_{n+1} 1) realizes it on every row with lam_j > 0; rows with lam_j
-    below ``DROP_TOL`` are unconstrained and take whatever sign w gives
-    them. When the algebraic vector fails numerically (or violates the
+    r_{n+1} 1) realizes it on every row with lam_j > 0; rows with lam_j at
+    most ``DROP_TOL`` max(lam) are unconstrained and take whatever sign w
+    gives them. When the algebraic vector fails numerically (or violates the
     guard), an LP feasibility solve with unit slack takes over.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -349,7 +325,7 @@ def realize_pattern(
     r = np.asarray(r, dtype=float)
     z = sign_pm(r)
     b_target = ((z[:n] * z[n]) + 1.0) / 2.0
-    keep = lam_tilde > DROP_TOL
+    keep = lam_tilde > DROP_TOL * lam_tilde.max(initial=0.0)
     if not keep.any():
         return RealizedPattern(
             mask_target=b_target, mask=np.ones(n), w=np.zeros(X.shape[1]), method="zero"

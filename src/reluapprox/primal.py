@@ -27,7 +27,7 @@ from .errors import (
     Unrealizable,
     ZeroDirection,
 )
-from .maxcut import realize_pattern
+from .maxcut import psd_factor, realize_pattern
 
 MAX_ROUNDS = 3  # rounding rounds per block, doubling the draws each time
 
@@ -204,10 +204,8 @@ def default_sample_count(n_block: int, eps0: float, delta: float) -> int:
 
 def _round_block_masks(X_block, lam_block, sdp, k, guard, rng):
     """Draw k Gaussian rounding samples and realize them as gate patterns."""
-    nb = X_block.shape[0]
-    w_eig, V = np.linalg.eigh(0.5 * (sdp.Z + sdp.Z.T))
-    L = V * np.sqrt(np.maximum(w_eig, 0.0))
-    draws = rng.standard_normal((k, nb + 1)) @ L.T
+    L = psd_factor(sdp.Z)
+    draws = rng.standard_normal((k, L.shape[0])) @ L.T
     masks, gates = [], []
     dropped = 0
     for r in draws:

@@ -158,7 +158,7 @@ def test_criterion_6_negcorr_end_to_end():
     for di, (n, d) in enumerate(sizes):
         ds = generate_synthetic("negative_correlation", n, d, seed=600 + di)
         P = exact_primal(ds, arch="relu", tol=1e-7).value
-        dual_cert = solve_dual_negcorr(ds, eps=1e-4)
+        dual_cert = solve_dual_negcorr(ds)
         for seed in range(20):
             res = solve_primal_negcorr(
                 ds, eps0=0.1, delta=0.1, seed=seed, dual_cert=dual_cert
@@ -200,7 +200,7 @@ def test_criterion_7_geometric_ratio_bound():
             continue
         gr = geometric_ratio(ds, lam_star)
         c = 0.9 * min(gr.c_star, 1.0 / gr.c_star)
-        cert = solve_dual_geo(ds, c=c, eps=1e-4)
+        cert = solve_dual_geo(ds, c=c)
         eps_total = 2 * cert.eps + 1e-5 * (1 + D)
         lo = SQ2PI * (1.0 - c) * D - eps_total
         band_ok = lo <= cert.objective <= D + 1e-6 * (1 + D)

@@ -133,13 +133,21 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+def test_removed_eps_flag_is_usage_error(capsys, tmp_path):
+    # --eps is gone; it must not be taken as an abbreviation of --eps0
+    ds = generate_synthetic("general", 7, 2, seed=0)
+    path = tmp_path / "gen.csv"
+    save_dataset(ds, str(path))
+    assert main(["solve", "--input", str(path), "--eps", "1e-3"]) == 2
+
+
 def test_solve_geo_reports_certified_null(capsys, tmp_path):
     # geo builds no network and p is objective / rho, which the ratio
     # check would accept by construction
     ds = generate_synthetic("general", 7, 2, seed=0)
     path = tmp_path / "gen.csv"
     save_dataset(ds, str(path))
-    code, out = run_cli(capsys, "solve", "--input", str(path), "--method", "geo", "--eps", "1e-3")
+    code, out = run_cli(capsys, "solve", "--input", str(path), "--method", "geo")
     assert code == 0, out
     report = json.loads(out)
     assert report["method"] == "geo"

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from reluapprox.conic import (
-    EllipsoidConfig,
     MinSumNormsProblem,
     box_constrained_least_squares,
     box_lsq_batch,
-    ellipsoid_maximize,
     project_polyhedral_cone,
     solve_min_sum_norms,
 )
 from reluapprox.dataset import LossModel
-from reluapprox.errors import Infeasible, IterationExhausted
+from reluapprox.errors import Infeasible
 
 
 def grid_box_lsq(A, p, steps=51):
@@ -128,86 +126,3 @@ def test_msn_infeasible_margin_raises():
     prob = MinSumNormsProblem.from_masks(X, np.array([[1.0, -1.0]]))
     with pytest.raises(Infeasible):
         solve_min_sum_norms(prob)
-
-
-# --- ellipsoid --------------------------------------------------------------
-
-
-def _ball_oracle(r2=1.0):
-    def test(lam):
-        v = float(lam @ lam)
-        if v <= r2:
-            return None
-        g = 2.0 * lam
-        return g, float(g @ lam - (v - r2))
-
-    return test
-
-
-def test_ellipsoid_1d_interval():
-    cfg = EllipsoidConfig(radius=10.0, eps=1e-6, dim=1)
-    lam, info = ellipsoid_maximize(np.array([1.0]), _ball_oracle(), cfg)
-    assert abs(lam[0] - 1.0) < 1e-5
-
-
-def test_ellipsoid_unit_disk():
-    cfg = EllipsoidConfig(radius=4.0, eps=1e-6, dim=2)
-    lam, info = ellipsoid_maximize(np.array([1.0, 1.0]), _ball_oracle(), cfg)
-    assert abs(float(lam.sum()) - math.sqrt(2.0)) < 1e-5
-
-
-def test_ellipsoid_log_volume_monotone():
-    cfg = EllipsoidConfig(radius=4.0, eps=1e-6, dim=2)
-    _, info = ellipsoid_maximize(
-        np.array([1.0, 1.0]), _ball_oracle(), cfg, track_volume=True
-    )
-    lv = info["log_volumes"]
-    assert len(lv) > 5
-    assert all(b < a for a, b in zip(lv, lv[1:]))
-
-
-def test_ellipsoid_box_cut():
-    cfg = EllipsoidConfig(radius=4.0, eps=1e-7, dim=2)
-    lam, info = ellipsoid_maximize(
-        np.array([1.0, 1.0]), _ball_oracle(4.0), cfg, box_upper=0.5
-    )
-    assert np.all(lam <= 0.5 + 1e-7)
-    assert abs(info["value"] - 1.0) < 1e-5
-
-
-def test_ellipsoid_config_iteration_bound():
-    with pytest.raises(ValueError):
-        EllipsoidConfig(radius=10.0, eps=1e-6, dim=4, max_iter=3)
-
-
-def test_ellipsoid_three_point_grid_oracle():
-    # body {lam >= 0 : max_b ||X' diag(lam) b||^2 <= 1} for a 3-point
-    # dataset; the ellipsoid maximizer must match a 0.01-step grid search
-    X = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
-    mask_mats = []
-    for bits in range(1, 8):
-        b = np.array([(bits >> j) & 1 for j in range(3)], dtype=float)
-        B = X.T * b[None, :]
-        mask_mats.append((b[:, None] * (X @ X.T) * b[None, :]))
-
-    def constraint(lam):
-        return max(float(lam @ M @ lam) for M in mask_mats)
-
-    def oracle(lam):
-        vals = [float(lam @ M @ lam) for M in mask_mats]
-        j = int(np.argmax(vals))
-        if vals[j] <= 1.0:
-            return None
-        g = 2.0 * mask_mats[j] @ lam
-        return g, float(g @ lam - (vals[j] - 1.0))
-
-    cfg = EllipsoidConfig(radius=4.0, eps=1e-4, dim=3)
-    lam, info = ellipsoid_maximize(np.ones(3), oracle, cfg)
-    # vectorized grid search over [0, 2]^3 at step 0.01
-    ax = np.arange(0.0, 2.0001, 0.01)
-    grid = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    feas = np.ones(grid.shape[0], dtype=bool)
-    for M in mask_mats:
-        feas &= np.einsum("ij,jk,ik->i", grid, M, grid) <= 1.0
-    best = float(grid[feas].sum(axis=1).max())
-    assert info["value"] >= best - 1e-4 - 0.03  # ellipsoid eps + grid resolution

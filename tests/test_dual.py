@@ -71,7 +71,7 @@ def test_ortho_wrong_regime():
 def test_negcorr_two_point_line_exact():
     # one-point blocks make the SDP surrogate exact: objective -> 2
     ds = Dataset([[1.0], [-1.0]], [1, -1])
-    cert = solve_dual_negcorr(ds, eps=1e-6)
+    cert = solve_dual_negcorr(ds)
     assert cert.objective >= 2.0 - 1e-4
     assert check_dual_feasibility(ds, cert.lam).feasible
 
@@ -80,13 +80,7 @@ def test_negcorr_rescale_still_above_radius_raises(monkeypatch):
     # the certified surrogate bound stays above radius^2 through every
     # rescale, so the block has no certified point to return
     ds = Dataset([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [1, 1, -1])
-    monkeypatch.setattr(
-        dual, "ellipsoid_maximize",
-        lambda objective, oracle, cfg, box_upper=None: (np.ones(cfg.dim), {"iterations": 0}),
-    )
-    monkeypatch.setattr(
-        dual._C2Oracle, "value_bounds", lambda self, lam, tol=None: (0.0, 4.0 * self.r2, None)
-    )
+    monkeypatch.setattr(dual, "sdp_relaxation", lambda Q: SimpleNamespace(upper=16.0))
     with pytest.raises(NonConvergence, match="still above"):
         solve_dual_negcorr(ds)
 
@@ -96,17 +90,30 @@ def test_negcorr_constraint_above_radius_raises(monkeypatch):
     ds = Dataset([[1.0], [-1.0]], [1, -1])
     monkeypatch.setattr(dual, "dual_constraint_maximin", lambda ds, lam: SimpleNamespace(value=1.0 + 1e-6))
     with pytest.raises(CertificateViolation, match="exceeds the radius"):
-        solve_dual_negcorr(ds, eps=1e-3)
+        solve_dual_negcorr(ds)
 
 
 def test_negcorr_feasible_and_near_optimal_on_ortho_subset():
     for seed in range(3):
         ds = generate_synthetic("orthogonal_separable", 8, 3, seed)
         D = solve_dual_ortho(ds).objective
-        cert = solve_dual_negcorr(ds, eps=1e-4)
+        cert = solve_dual_negcorr(ds)
         assert cert.objective >= SQ2PI * D - 1e-3
         assert cert.objective <= D * (1 + 1e-6) + cert.eps
         assert check_dual_feasibility(ds, cert.lam).feasible
+
+
+@pytest.mark.parametrize(
+    "loss", [LossModel.max_margin(), LossModel.hinge(0.5), LossModel.squared_hinge(2.0)], ids=lambda l: l.name
+)
+def test_negcorr_exact_on_ortho_data(loss):
+    # orthogonal-separable blocks have an entrywise nonnegative Q(lam), for
+    # which Z = 11' is optimal: the SDP surrogate is exact and the
+    # surrogate dual must reach the exact ortho dual
+    for seed in range(3):
+        ds = generate_synthetic("orthogonal_separable", 8, 3, seed)
+        D = solve_dual_ortho(ds, loss).objective
+        assert abs(solve_dual_negcorr(ds, loss).objective - D) <= 1e-7 * (1 + D)
 
 
 def test_negcorr_wrong_regime():
@@ -160,7 +167,7 @@ def test_geometric_ratio_zero_denominator():
 
 def test_geo_two_point_line():
     ds = Dataset([[1.0], [-1.0]], [1, -1])
-    cert = solve_dual_geo(ds, c=0.5, eps=1e-6)
+    cert = solve_dual_geo(ds, c=0.5)
     assert cert.objective >= 1.5 - 1e-4  # D_c = 1 + 0.5
     assert cert.objective <= 1.5 + 1e-6
     assert check_dual_feasibility(ds, cert.lam).feasible
@@ -170,12 +177,12 @@ def test_geo_constraint_above_radius_raises(monkeypatch):
     ds = Dataset([[1.0], [-1.0]], [1, -1])
     monkeypatch.setattr(dual, "dual_constraint_maximin", lambda ds, lam: SimpleNamespace(value=1.0 + 1e-6))
     with pytest.raises(CertificateViolation, match="exceeds the radius"):
-        solve_dual_geo(ds, c=0.5, eps=1e-3)
+        solve_dual_geo(ds, c=0.5)
 
 
 def test_geo_feasible_on_general_data():
     ds = generate_synthetic("general", 7, 2, seed=0)
-    cert = solve_dual_geo(ds, c=0.5, eps=1e-3)
+    cert = solve_dual_geo(ds, c=0.5)
     assert check_dual_feasibility(ds, cert.lam).feasible
     assert cert.meta["p_derived"] >= cert.objective
 
@@ -190,7 +197,7 @@ def test_geo_corrected_ratio_condition():
         gr = geometric_ratio(ds, lam_star)
         m = min(gr.c_star, 1.0 / gr.c_star)
         c = min(0.999, m + 0.05 * (1 - m))
-        cert = solve_dual_geo(ds, c=c, eps=1e-4)
+        cert = solve_dual_geo(ds, c=c)
         assert cert.objective >= SQ2PI * (1 - c) * D - 2 * cert.eps - 1e-9
         assert cert.objective <= D * (1 + 1e-6) + cert.eps
 

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reluapprox.dataset import Dataset, LossModel, generate_synthetic
-from reluapprox.dual import solve_dual_ortho
-from reluapprox.errors import DimensionMismatch, ZeroDirection
+from reluapprox.dual import check_dual_feasibility, solve_dual_ortho
+from reluapprox.errors import DimensionMismatch, GenerationFailed, ZeroDirection
 from reluapprox.oracle import exact_primal
 from reluapprox.primal import (
     GatedReluNetwork,
@@ -165,3 +167,18 @@ def test_weak_duality_lower_bound():
     ds = generate_synthetic("negative_correlation", 10, 3, seed=21)
     res = solve_primal_negcorr(ds, seed=3)
     assert res.lower <= res.p + 1e-9 * (1 + res.p)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(4, 8), st.integers(2, 3), st.integers(0, 10_000))
+def test_negcorr_certified_property(n, d, seed):
+    try:
+        ds = generate_synthetic("negative_correlation", n, d, seed)
+    except GenerationFailed:
+        assume(False)
+    res = solve_primal_negcorr(ds, seed=seed)
+    assert res.p >= res.lower - 1e-9 * (1 + abs(res.lower))
+    ev = evaluate_network(res.network, ds)
+    assert abs(ev.regularizer - res.p) <= 1e-6 * (1 + res.p)
+    assert ev.margins.min() >= 1.0 - 1e-6
+    assert check_dual_feasibility(ds, res.dual.lam).feasible
