@@ -1,19 +1,20 @@
 """Solver kernels: box least squares, min-sum-of-norms programs, small SDPs.
 
 All three kernels are deterministic and dependency-light (numpy plus
-scipy for LP/NNLS plumbing and eigenvalues). The min-sum-of-norms solver
-is an operator-splitting (ADMM) scheme whose stopping rule is a
-*certified* duality gap: the primal iterate is repaired to exact
-feasibility and the dual iterate is scaled into its constraint set, so the
-reported gap is a true bound regardless of how far the splitting iteration
-has converged. The semidefinite programs (the Max-Cut relaxation and the
-block surrogate dual) share one primal-dual interior-point loop; its
-callers certify what it returns.
+scipy for LP/NNLS plumbing and dense linear algebra). The min-sum-of-norms
+solver is column generation: a second-order cone master over a working set
+of blocks, solved by a primal-dual interior-point method with
+Nesterov-Todd scaling, is priced against every block's dual constraint,
+and it stops on a *certified* duality gap of the full program: the primal
+blocks are scaled to exact feasibility and the master's multipliers into
+their constraint set, so the reported gap is a true bound however
+accurately the master was solved. The semidefinite programs (the Max-Cut
+relaxation and the block surrogate dual) share one primal-dual
+interior-point loop; its callers certify what it returns.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +23,6 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
-from scipy.linalg import cho_factor, cho_solve
 
 from .dataset import LossModel
 from .errors import Infeasible, NonConvergence
@@ -214,6 +214,8 @@ class MinSumNormsProblem:
             raise ValueError("every block needs a nonempty row coupling")
         if self.mode not in ("margin", "penalized"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "penalized" and self.loss.name not in ("hinge", "squared_hinge"):
+            raise ValueError(f"penalized mode needs the hinge or squared hinge loss, not {self.loss.name!r}")
         if self.cone_signs is not None:
             self.cone_signs = np.atleast_2d(np.asarray(self.cone_signs, dtype=float))
             if self.cone_signs.shape != self.row_weights.shape:
@@ -244,8 +246,11 @@ class MinSumNormsResult:
     dual_value: float
 
 
-def _phase1_feasible(prob: MinSumNormsProblem) -> bool:
-    """LP feasibility check for the margin system (with cone rows)."""
+def _phase1_feasible(prob: MinSumNormsProblem) -> Optional[np.ndarray]:
+    """LP feasibility check for the margin system (with cone rows).
+
+    Returns the blocks (k x d) of a feasible point, or None when there is none.
+    """
     X, RW = prob.X, prob.row_weights
     n, d = X.shape
     k = prob.k
@@ -277,7 +282,9 @@ def _phase1_feasible(prob: MinSumNormsProblem) -> bool:
         bounds=[(None, None)] * (nv - 1) + [(0, None)],
         method="highs",
     )
-    return res.status == 0 and res.fun is not None and res.fun <= 1e-7
+    if res.status != 0 or res.fun is None or res.fun > 1e-7:
+        return None
+    return res.x[:-1].reshape(k, d)
 
 
 CONE_FEAS_RTOL = 1e-11
@@ -375,396 +382,396 @@ def _certify(prob, U, lam_raw, beta_norm):
     return pval, dval, U, lam
 
 
-def _block_support_direction(prob: MinSumNormsProblem, i: int, lam: np.ndarray):
-    """The direction attaining sup_{u in K_i, |u|<=1} lam' F_i u."""
-    v = prob.X.T @ (prob.row_weights[i] * lam)
-    if prob.cone_signs is not None:
-        rows = prob.cone_signs[i][:, None] * prob.X
-        v = project_polyhedral_cone(v, rows)
-    nv = np.linalg.norm(v)
-    return (v / nv, nv) if nv > 0 else (None, 0.0)
+# The master program is a second-order cone program min c'x s.t. A x - b in K,
+# K a product of a nonnegative orthant and second-order cones. Vectors in K's
+# space are flat; _ConeProduct splits them into the orthant part and one
+# (count, dim) array per group of equal-sized cones, whose rows are the cones.
 
 
-def _polish_direction_lp(prob: MinSumNormsProblem, U, beta_norm, block_rtol):
-    """Column generation over frozen block directions.
+def _soc_det(x):
+    """x0^2 - |x1|^2 per row, factored to keep its precision near the boundary."""
+    r = np.linalg.norm(x[:, 1:], axis=1)
+    return (x[:, 0] - r) * (x[:, 0] + r)
 
-    With directions fixed, the margin program is the LP
-    min sum t s.t. sum t_j (F_{i_j} v_j) >= 1, t >= 0 (the penalized hinge
-    adds slack variables); its row duals lam price new directions. A block
-    whose dual constraint sup_{u in K_i} lam' F_i u exceeds the budget
-    contributes its maximizing direction as a fresh column, which is exact
-    pricing, so the loop terminates at the true optimum of the full
-    program whenever the splitting iterate seeded the right neighborhood.
-    Directions are cone-feasible by construction, hence so is any
-    nonnegative combination.
-    """
-    loss = prob.loss
-    if prob.mode == "penalized" and loss.name != "hinge":
-        return None
-    X, RW = prob.X, prob.row_weights
-    n = X.shape[0]
-    unorms = np.linalg.norm(U, axis=1)
-    act = np.flatnonzero(unorms > block_rtol * (1.0 + unorms.max()))
-    if act.size == 0:
-        return None
-    Urep = _repair_cones(prob, U)
-    cols: list[tuple[int, np.ndarray]] = []
-    for i in act:
-        nu = np.linalg.norm(Urep[i])
-        if nu > 0:
-            cols.append((int(i), Urep[i] / nu))
-    if not cols:
-        return None
-    out = None
-    for _ in range(60):
-        M = np.stack([RW[i] * (X @ v) for i, v in cols], axis=1)  # n x ncols
-        ncols = len(cols)
-        if prob.mode == "margin":
-            res = scipy.optimize.linprog(
-                np.ones(ncols), A_ub=-M, b_ub=-np.ones(n),
-                bounds=[(0, None)] * ncols, method="highs",
-            )
-            if res.status != 0:
-                return out
-            t = np.maximum(res.x, 0.0)
-            lam = np.abs(np.asarray(res.ineqlin.marginals))
-        else:
-            c = np.concatenate([beta_norm * np.ones(ncols), np.ones(n)])
-            res = scipy.optimize.linprog(
-                c, A_ub=np.hstack([-M, -np.eye(n)]), b_ub=-np.ones(n),
-                bounds=[(0, None)] * (ncols + n), method="highs",
-            )
-            if res.status != 0:
-                return out
-            t = np.maximum(res.x[:ncols], 0.0)
-            lam = np.clip(np.abs(np.asarray(res.ineqlin.marginals)), 0.0, loss.box_upper)
-        U_out = np.zeros_like(U)
-        for (i, v), ti in zip(cols, t):
-            U_out[i] += ti * v
-        out = (U_out, lam)
-        # exact pricing: add support directions of the most violated blocks
-        budget = 1.0 if prob.mode == "margin" else beta_norm
-        theta = _dual_block_values(prob, lam, floor=budget)
-        worst = np.argsort(-theta)[:8]
-        added = 0
-        have = {(i, v.tobytes()) for i, v in cols}
-        for i in worst:
-            if theta[i] <= budget * (1.0 + 1e-12):
-                continue
-            v, nv = _block_support_direction(prob, int(i), lam)
-            # nv is the exact constraint value; theta[i] may be a skipped
-            # block's unprojected upper bound
-            if v is None or nv <= budget * (1.0 + 1e-12):
-                continue
-            key = (int(i), v.tobytes())
-            if key not in have and len(cols) < 400:
-                cols.append((int(i), v))
-                have.add(key)
-                added += 1
-        if added == 0:
-            return out
+
+def _soc_prod(x, y):
+    """Jordan product x o y = (x'y, x0 y1 + y0 x1) per row."""
+    out = np.empty_like(x)
+    out[:, 0] = np.einsum("ij,ij->i", x, y)
+    out[:, 1:] = x[:, :1] * y[:, 1:] + y[:, :1] * x[:, 1:]
     return out
 
 
-def _polish_kkt(prob: MinSumNormsProblem, U, lam, muT, beta_norm, block_rtol, row_rtol, seen_keys):
-    """Newton refinement of the KKT system on the active set ADMM identified.
+def _soc_div(lam, r):
+    """The u with lam o u = r per row."""
+    u = np.empty_like(r)
+    u[:, 0] = (lam[:, 0] * r[:, 0] - np.einsum("ij,ij->i", lam[:, 1:], r[:, 1:])) / _soc_det(lam)
+    u[:, 1:] = (r[:, 1:] - u[:, :1] * lam[:, 1:]) / lam[:, :1]
+    return u
 
-    First-order splitting identifies which blocks, margin rows, and cone
-    rows are active long before it reaches high accuracy; the KKT equations
-    restricted to that structure are smooth and square, so a damped
-    Gauss-Newton solve polishes the iterate to near machine precision.
-    ``muT`` holds the splitting's cone multipliers (None without cones).
-    Returns a refined (U, lam) pair or None when the guess fails.
+
+def _soc_step(x, dx):
+    """Per row the largest a with x + a dx in the cone (x interior); inf if unbounded."""
+    qa, qc = _soc_det(dx), _soc_det(x)
+    qb = x[:, 0] * dx[:, 0] - np.einsum("ij,ij->i", x[:, 1:], dx[:, 1:])
+    disc = qb * qb - qa * qc
+    q = -(qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+    out = np.full(x.shape[0], math.inf)
+    for root in (q / qa, qc / q):  # the two roots of qa a^2 + 2 qb a + qc
+        out = np.where((disc >= 0) & (root > 0) & (root < out), root, out)
+    return out
+
+
+class _ConeProduct:
+    """The cone R^nl_+ x Q^{d_1} x ..., with ``socs`` a list of (count, dim) groups."""
+
+    def __init__(self, nl: int, socs: list):
+        self.nl = nl
+        self.socs = socs
+        self.degree = nl + sum(count for count, _ in socs)
+
+    def split(self, v):
+        parts, o = [v[: self.nl]], self.nl
+        for count, dim in self.socs:
+            parts.append(v[o : o + count * dim].reshape(count, dim))
+            o += count * dim
+        return parts
+
+    def join(self, parts):
+        return np.concatenate([parts[0]] + [p.ravel() for p in parts[1:]])
+
+    def identity(self):
+        return self.join([np.ones(self.nl)] + [np.eye(1, dim).repeat(count, 0) for count, dim in self.socs])
+
+    def prod(self, x, y):
+        xs, ys = self.split(x), self.split(y)
+        return self.join([xs[0] * ys[0]] + [_soc_prod(a, b) for a, b in zip(xs[1:], ys[1:])])
+
+    def div(self, lam, r):
+        ls, rs = self.split(lam), self.split(r)
+        return self.join([rs[0] / ls[0]] + [_soc_div(a, b) for a, b in zip(ls[1:], rs[1:])])
+
+    def step(self, x, dx):
+        xs, ds = self.split(x), self.split(dx)
+        lp = np.where(ds[0] < 0, -xs[0] / ds[0], math.inf)
+        cones = [_soc_step(a, b).min(initial=math.inf) for a, b in zip(xs[1:], ds[1:])]
+        return min([lp.min(initial=math.inf)] + cones)
+
+    def min_eig(self, x):
+        xs = self.split(x)
+        cones = [(q[:, 0] - np.linalg.norm(q[:, 1:], axis=1)).min(initial=math.inf) for q in xs[1:]]
+        return min([xs[0].min(initial=math.inf)] + cones)
+
+    def nt_scaling(self, s, z):
+        """The Nesterov-Todd scaling W of the pair (s, z) and lam = W z = W^{-T} s.
+
+        W is sqrt(s/z) on the orthant and beta (2 v v' - J) on each cone
+        (Nesterov and Todd 1998, in the form of Vandenberghe 2010, sec. 4),
+        kept with its inverse (2 J v v' J - J) / beta as (count, dim, dim)
+        arrays.
+        """
+        ss, zs = self.split(s), self.split(z)
+        mats, lam = [], [np.sqrt(ss[0] * zs[0])]
+        for sq, zq in zip(ss[1:], zs[1:]):
+            J = np.where(np.arange(sq.shape[1]) == 0, 1.0, -1.0)
+            sd, zd = np.sqrt(_soc_det(sq)), np.sqrt(_soc_det(zq))
+            sb, zb = sq / sd[:, None], zq / zd[:, None]
+            gamma = np.sqrt(0.5 * (1.0 + np.einsum("ij,ij->i", sb, zb)))
+            wb = (sb + zb * J) / (2.0 * gamma[:, None])
+            v = wb + np.eye(1, wb.shape[1])
+            v /= np.sqrt(2.0 * (wb[:, :1] + 1.0))
+            beta = np.sqrt(sd / zd)[:, None, None]
+            W = beta * (2.0 * v[:, :, None] * v[:, None, :] - np.diag(J))
+            Winv = (2.0 * (v * J)[:, :, None] * (v * J)[:, None, :] - np.diag(J)) / beta
+            mats.append((W, Winv))
+            lam.append(np.matmul(W, zq[:, :, None])[:, :, 0])
+        return (np.sqrt(ss[0] / zs[0]), mats), self.join(lam)
+
+    def wmul(self, W, x, inv=False):
+        wl, mats = W
+        xs = self.split(x)
+        cones = [np.matmul(Winv if inv else Wm, q[:, :, None])[:, :, 0] for (Wm, Winv), q in zip(mats, xs[1:])]
+        return self.join([xs[0] / wl if inv else xs[0] * wl] + cones)
+
+    def winv(self, W):
+        """The diagonal sqrt(z/s) of the orthant and the (count, dim, dim) W^{-1} of each group."""
+        wl, mats = W
+        return 1.0 / wl, [Winv for _, Winv in mats]
+
+
+SOCP_MAX_STEPS = 80
+SOCP_TOL = 1e-12  # stop: relative gap and residuals all below this
+SOCP_STALL = 1e-8  # below this error, stop after two steps without a new best
+SOCP_REFINE = 6  # refinement rounds at most, each while the residual halves
+
+
+@np.errstate(all="ignore")
+def _interior_point_socp(master):
+    """Solve the master's min c'x s.t. A x - b in K by a primal-dual interior-point method.
+
+    Nesterov-Todd scaling with Mehrotra's predictor-corrector (Mehrotra
+    1992). The start is the least-squares x and the least-norm z under the
+    identity scaling, each shifted into the cone (Vandenberghe 2010). Each
+    step solves the reduced Newton system H dx = A' W^{-2} bz - bx with
+    H = A' W^{-2} A = S'S, never forming H: ``master.scaled_rows`` gives S
+    (len(x) columns, about as many rows) and a dense QR of S with unit
+    columns gives the triangular factor, so the solve sees the condition
+    number of S, the square root of that of H. The solution is refined on
+    the full two-block system while the residual halves, at most
+    SOCP_REFINE times. The step goes 0.99 of the way to the boundary.
+
+    The error is the worst of the relative gap and the relative primal and
+    dual residuals. The loop stops when it falls below SOCP_TOL, after two
+    steps without a new best once it is below SOCP_STALL (rounding, not the
+    central path, then drives the iterates), on a non-finite step or after
+    SOCP_MAX_STEPS; it returns the best iterate (x, s, z) and the number of
+    steps taken. Callers certify what it returns.
     """
-    X, RW = prob.X, prob.row_weights
-    n, d = X.shape
-    loss = prob.loss
-    lam = np.maximum(lam, 0.0)
-    unorms = np.linalg.norm(U, axis=1)
-    act_blocks = np.flatnonzero(unorms > block_rtol * (1.0 + unorms.max()))
-    if act_blocks.size == 0:
-        return None
-    nA = act_blocks.size
-    mode = prob.mode
-    s = np.einsum("kn,kn->n", RW, U @ X.T)
+    K = master.cones
+    A, AT, c, b = master.A, master.AT, master.c, master.b
+    e = K.identity()
 
-    if mode == "margin":
-        act_rows = np.flatnonzero(lam > row_rtol * (1.0 + lam.max()))
-        if act_rows.size == 0:
-            return None
-    elif loss.name == "hinge":
-        # rows sitting on the hinge kink carry the free multipliers
-        act_rows = np.flatnonzero(np.abs(s - 1.0) < 100 * row_rtol)
-        lam = np.clip(lam, 0.0, 1.0)
-    else:
-        act_rows = np.zeros(0, dtype=int)
-    key = (act_blocks.tobytes(), act_rows.tobytes())
-    if key in seen_keys:
-        return None
-    seen_keys.add(key)
-    if nA > 60:
-        return None  # numeric-Jacobian Newton is not worth it at this size
+    def normal_solver(S):
+        """r -> (S'S)^{-1} r, by a QR of S with unit columns and two triangular solves."""
+        scale = 1.0 / np.linalg.norm(S, axis=0)
+        R = scipy.linalg.qr(S * scale, mode="r")[0][: S.shape[1]]
+        tri = scipy.linalg.solve_triangular
+        return lambda r: scale * tri(R, tri(R, scale * r, trans="T", check_finite=False), check_finite=False)
 
-    nlam = act_rows.size
-    nvar = nA * d + nlam
-    x0 = [U[act_blocks].ravel(), lam[act_rows]]
-    cones = []  # (active-block index, matrix of its active cone rows, slice of x with their multipliers)
-    if prob.cone_signs is not None:
-        for idx, i in enumerate(act_blocks):
-            vals = prob.cone_signs[i] * (X @ U[i])
-            rows = np.flatnonzero(
-                (np.abs(vals) < 1e-5 * (1.0 + unorms[i])) | (muT[i] > 1e-6 * (1.0 + muT[i].max()))
-            )
-            if rows.size:
-                cones.append((idx, prob.cone_signs[i][rows][:, None] * X[rows], slice(nvar, nvar + rows.size)))
-                x0.append(muT[i][rows])
-                nvar += rows.size
-    if nvar > 400:
-        return None  # likewise
-    x0 = np.concatenate(x0)
-
-    def unpack(xv):
-        lam_full = np.zeros(n)
-        lam_full[act_rows] = xv[nA * d : nA * d + nlam]
-        return xv[: nA * d].reshape(nA, d), lam_full
-
-    def lam_of_s(sv, lam_full):
-        if mode == "margin":
-            return lam_full
-        if loss.name == "hinge":
-            out = np.where(sv < 1.0, 1.0, 0.0)
-            out[act_rows] = lam_full[act_rows]
-            return out
-        return loss.dual_from_slope(sv)
-
-    obj_scale = 1.0 if mode == "margin" else beta_norm
-    RW_act = RW[act_blocks]
-
-    def residual(xv):
-        Ua, lam_full = unpack(xv)
-        P = Ua @ X.T  # nA x n
-        sv = np.einsum("kn,kn->n", RW_act, P)
-        lamv = lam_of_s(sv, lam_full)
-        G = (RW_act * lamv[None, :]) @ X  # nA x d, rows F_i' lam
-        for idx, C, mu in cones:
-            G[idx] = G[idx] + C.T @ xv[mu]
-        nu = np.linalg.norm(Ua, axis=1)
-        res = [(Ua - (nu / obj_scale)[:, None] * G).ravel(), sv[act_rows] - 1.0]
-        res += [C @ Ua[idx] for idx, C, _ in cones]
-        return np.concatenate(res)
-
-    F = residual(x0)
-    scale = 1.0 + np.abs(x0).max()
-    x = x0
-    stall = 0
-    for _ in range(18):
-        nrm = np.linalg.norm(F)
-        if nrm <= 1e-12 * scale * math.sqrt(nvar):
-            break
-        J = np.empty((F.size, nvar))
-        h = 1e-7 * scale
-        for j in range(nvar):
-            xp = x.copy()
-            xp[j] += h
-            J[:, j] = (residual(xp) - F) / h
-        try:
-            step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        while t > 1e-4:
-            Fn = residual(x + t * step)
-            if np.linalg.norm(Fn) < nrm:
-                break
-            t *= 0.5
+    eye = [np.broadcast_to(np.eye(dim), (count, dim, dim)) for count, dim in K.socs]
+    normal_solve = normal_solver(master.scaled_rows(np.ones(K.nl), eye))
+    x = normal_solve(AT(b))
+    s = A(x) - b
+    z = A(normal_solve(c))
+    for v in (s, z):
+        shift = -K.min_eig(v)
+        if shift >= -1e-8 * (1.0 + np.abs(v).max()):
+            v += (1.0 + max(shift, 0.0)) * e
+    nb, nc = 1.0 + np.linalg.norm(b), 1.0 + np.linalg.norm(c)
+    best, stale = None, 0
+    for steps in range(SOCP_MAX_STEPS + 1):
+        rp = A(x) - b - s
+        rd = AT(z) - c
+        gap = float(s @ z)
+        err = max(gap / (1.0 + abs(float(c @ x))), np.linalg.norm(rp) / nb, np.linalg.norm(rd) / nc)
+        if best is None or err < best[0]:
+            best, stale = (err, x, s, z), 0
         else:
-            return None
-        stall = stall + 1 if np.linalg.norm(Fn) > 0.3 * nrm else 0
-        if stall >= 4:
-            return None
-        x = x + t * step
-        F = Fn
-    if np.linalg.norm(F) > 1e-9 * scale * math.sqrt(nvar):
-        return None
-    Ua, lam_full = unpack(x)
-    U_out = np.zeros_like(U)
-    U_out[act_blocks] = Ua
-    sv = np.einsum("kn,kn->n", RW, U_out @ X.T)
-    lam_out = np.maximum(lam_of_s(sv, lam_full), 0.0)
-    if prob.mode == "penalized" and loss.name == "hinge":
-        lam_out = np.minimum(lam_out, 1.0)
-    return U_out, lam_out
+            stale += 1
+        if err <= SOCP_TOL or (stale == 2 and best[0] <= SOCP_STALL) or steps == SOCP_MAX_STEPS:
+            break
+        W, lam = K.nt_scaling(s, z)
+        try:
+            normal_solve = normal_solver(master.scaled_rows(*K.winv(W)))
+        except ValueError:  # non-finite scaling
+            break
+
+        def winv2(v):
+            return K.wmul(W, K.wmul(W, v, True), True)
+
+        def solve_once(bx, bz):
+            # A' dz = bx and A dx + W'W dz = bz
+            dx = normal_solve(AT(winv2(bz)) - bx)
+            return dx, winv2(bz - A(dx))
+
+        def direction(rs):
+            # the Newton step with lam o (W dz + W^{-T} ds) = rs - lam o lam;
+            # q = lam \ rs - lam, since lam \ (lam o lam) = lam loses all
+            # precision on a cone near its boundary when computed
+            q = K.div(lam, rs) - lam
+            bx, bz = -rd, K.wmul(W, q) - rp
+            dx, dz = solve_once(bx, bz)
+            last = math.inf
+            for _ in range(SOCP_REFINE):
+                ex, ez = bx - AT(dz), bz - A(dx) - K.wmul(W, K.wmul(W, dz))
+                size = np.linalg.norm(ex) + np.linalg.norm(ez)
+                if not size < 0.5 * last:
+                    break
+                cx, cz = solve_once(ex, ez)
+                dx, dz, last = dx + cx, dz + cz, size
+            return dx, K.wmul(W, q - K.wmul(W, dz)), dz
+
+        dx, ds, dz = direction(np.zeros_like(lam))
+        a = min(1.0, K.step(s, ds), K.step(z, dz))
+        sigma = min(1.0, max(0.0, float((s + a * ds) @ (z + a * dz)) / gap)) ** 3
+        corr = K.prod(K.wmul(W, ds, True), K.wmul(W, dz))
+        dx, ds, dz = direction(sigma * gap / K.degree * e - corr)
+        a = min(1.0, 0.99 * K.step(s, ds), 0.99 * K.step(z, dz))
+        if not (np.isfinite(a) and np.all(np.isfinite(dx)) and np.all(np.isfinite(dz))):
+            break
+        x, s, z = x + a * dx, s + a * ds, z + a * dz
+    return best[1], best[2], best[3], steps
+
+
+class _Master:
+    """The min-sum-of-norms program restricted to the blocks ``W``, in conic form.
+
+    ``X`` is the data in coordinates of a basis of its row space, and the
+    blocks u_i are in the same coordinates. x holds (t_i, u_i) for each
+    block of W, then in penalized mode the loss slacks xi (n), then for the
+    squared hinge the epigraph variable r. A x - b stacks, in this order:
+
+    * the n margin rows  sum_i a_i o (X u_i) (+ xi) - 1 >= 0, whose
+      multipliers are the program's lam;
+    * with cones, the n rows diag(cone_signs_i) X u_i >= 0 of each block;
+    * in penalized mode xi >= 0;
+    * the second-order cones (t_i, u_i);
+    * for the squared hinge (r + 1, r - 1, 2 xi), a second-order cone that
+      says r >= |xi|^2.
+
+    The objective is beta_norm sum t_i, plus 1'xi for the hinge or r for the
+    squared hinge.
+    """
+
+    def __init__(self, prob: MinSumNormsProblem, X: np.ndarray, W: np.ndarray, beta_norm: float):
+        n, d = X.shape
+        m = W.size
+        self.X, self.n, self.m, self.d = X, n, m, d
+        self.RW = prob.row_weights[W]
+        self.CS = None if prob.cone_signs is None else prob.cone_signs[W]
+        self.sq = prob.mode == "penalized" and prob.loss.name == "squared_hinge"
+        self.nv = m * (d + 1)
+        self.nxi = n if prob.mode == "penalized" else 0
+        N = self.nv + self.nxi + self.sq
+        nl = n + (0 if self.CS is None else m * n) + self.nxi
+        socs = [(m, d + 1)] + ([(1, n + 2)] if self.sq else [])
+        self.cones = _ConeProduct(nl, socs)
+        self.c = np.zeros(N)
+        self.c[: self.nv : d + 1] = beta_norm
+        if self.sq:
+            self.c[-1] = 1.0
+        else:
+            self.c[self.nv :] = 1.0  # the hinge slacks (none in margin mode)
+        self.b = np.zeros(nl + m * (d + 1) + (n + 2 if self.sq else 0))
+        self.b[:n] = 1.0
+        if self.sq:
+            self.b[-(n + 2) : -n] = (-1.0, 1.0)
+        # the margin rows as a dense n x len(x) matrix
+        self.AR = np.zeros((n, N))
+        self.AR[:, : self.nv].reshape(n, m, d + 1)[:, :, 1:] = self.RW.T[:, :, None] * X[:, None, :]
+        if self.nxi:
+            self.AR[:, self.nv :] = np.eye(n, N - self.nv)
+        if self.sq:  # the epigraph cone's rows over (xi, r)
+            self.S = np.zeros((n + 2, n + 1))
+            self.S[:2, -1] = 1.0
+            self.S[2:, :n] = 2.0 * np.eye(n)
+
+    def A(self, x):
+        V = x[: self.nv].reshape(self.m, self.d + 1)
+        xi = x[self.nv : self.nv + self.nxi]
+        parts = [self.AR @ x]
+        if self.CS is not None:
+            parts.append((self.CS * (V[:, 1:] @ self.X.T)).ravel())
+        parts += [xi, x[: self.nv]]
+        if self.sq:
+            parts.append(self.S @ x[self.nv :])
+        return np.concatenate(parts)
+
+    def AT(self, z):
+        n, m, nv = self.n, self.m, self.nv
+        out = self.AR.T @ z[:n]
+        o = n
+        G = np.zeros((m, self.d + 1))
+        if self.CS is not None:
+            G[:, 1:] = (self.CS * z[o : o + m * n].reshape(m, n)) @ self.X
+            o += m * n
+        out[nv : nv + self.nxi] += z[o : o + self.nxi]
+        o += self.nxi
+        out[:nv] += G.ravel() + z[o : o + nv]
+        if self.sq:
+            out[nv:] += self.S.T @ z[o + nv :]
+        return out
+
+    def scaled_rows(self, wl, winvs):
+        """A matrix S with S'S = A' W^{-2} A, from the orthant's sqrt(z/s) and the cones' W^{-1}.
+
+        Its rows are the scaled margin rows (n, dense), then one triangular
+        factor per block of its scaled cone rows stacked on W_i^{-1} (a
+        batched QR, d + 1 rows each), then the scaled xi rows and the
+        squared-hinge cone's rows.
+        """
+        n, m, nv, d = self.n, self.m, self.nv, self.d
+        N = self.AR.shape[1]
+        blocks = winvs[0]
+        o = n
+        if self.CS is not None:
+            C = np.zeros((m, n, d + 1))
+            C[:, :, 1:] = (wl[o : o + m * n].reshape(m, n) * self.CS)[:, :, None] * self.X
+            blocks = np.concatenate([C, blocks], axis=1)
+            o += m * n
+        B = np.zeros((m, d + 1, N))
+        B[:, :, :nv].reshape(m, d + 1, m, d + 1)[np.arange(m), :, np.arange(m)] = np.linalg.qr(blocks, mode="r")
+        rows = [wl[:n, None] * self.AR, B.reshape(m * (d + 1), N)]
+        if self.nxi:
+            rows.append(np.zeros((n, N)))
+            rows[-1][:, nv : nv + n] = np.diag(wl[o:])
+        if self.sq:
+            rows.append(np.zeros((n + 2, N)))
+            rows[-1][:, nv:] = winvs[1][0] @ self.S
+        return np.vstack(rows)
+
+
+MSN_MAX_ROUNDS = 30
+MSN_PRICE = 8  # blocks added per pricing round
 
 
 def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNormsResult:
-    """Solve a min-sum-of-norms program by operator splitting (ADMM).
+    """Solve a min-sum-of-norms program by column generation over an interior-point master.
 
-    Stops when the certified duality gap drops below tol * (1 + |value|).
-    Margin mode runs an LP feasibility phase first and raises
-    :class:`Infeasible` when the margin system has no solution;
-    :class:`NonConvergence` signals an exhausted iteration budget.
+    The master is the program restricted to a working set W of blocks, a
+    second-order cone program (see :class:`_Master`) solved by
+    :func:`_interior_point_socp`. W starts as the 2(n+1) blocks with the
+    largest |F_i' 1|; in margin mode the phase-1 LP, which raises
+    :class:`Infeasible` when the full margin system has no solution, also
+    adds the blocks of its feasible point, so no master is infeasible. Each
+    round certifies the master's blocks and margin multipliers lam on the
+    full program (:func:`_certify`: the blocks scaled to feasibility, lam
+    scaled into every block's dual constraint) and stops once the relative
+    gap is within ``tol``. Otherwise pricing adds the (up to 8) blocks whose
+    dual constraint value at lam is largest above the budget. No violated
+    block left, or MSN_MAX_ROUNDS rounds, raise :class:`NonConvergence`
+    with the best certified gap. ``iterations`` counts the interior-point
+    steps summed over the rounds.
     """
     X = prob.X
-    RW = prob.row_weights
     n, d = X.shape
     k = prob.k
-    loss = prob.loss
-    beta_norm = 1.0 if prob.mode == "margin" else loss.beta
-    max_iter = 200000
-    rho = 1.0
-    check_every = 250 if k <= 512 else 1000  # certification cost grows with k
-    if prob.mode == "margin" and not _phase1_feasible(prob):
-        raise Infeasible("margin system has no feasible point")
-    if prob.mode == "penalized" and (loss.ell is None or loss.prox is None):
-        raise ValueError("penalized mode needs a LossModel with ell and prox")
-
-    # Prefactor the block and coupling systems. With cones every block
-    # solves with H = I + X'X (the cone sign matrix is orthogonal on rows)
-    # and couples through K = X H^{-1} X'; without them H = I and K = X X'.
-    CS = prob.cone_signs
-    has_cone = CS is not None
-    if has_cone:
-        Hc = cho_factor(np.eye(d) + X.T @ X)
-        K = X @ cho_solve(Hc, X.T)
-
-        def hsolve(R):
-            return cho_solve(Hc, R.T).T
-    else:
-        K = X @ X.T
-
-        def hsolve(R):
-            return R
-    Sfac = cho_factor(np.eye(n) + K * (RW.T @ RW))
-
-    U = np.zeros((k, d))
-    w = np.zeros((k, d))
-    z = np.ones(n) if prob.mode == "margin" else np.zeros(n)
-    T = np.zeros((k, n)) if has_cone else None
-    aw = np.zeros((k, d))
-    az = np.zeros(n)
-    aT = np.zeros((k, n)) if has_cone else None
-    s = np.zeros(n)
-    w_prev = w
-    z_prev = z
-    T_prev = T
-
-    best = None  # (gap_rel, pval, dval, U_feas, lam_feas)
-    thresh = beta_norm / rho
-    next_polish = 6 * check_every  # let easy instances certify on their own first
-    polish_tries = 0
-    adapt_left = 60
-
-    def accept(U_cand, lam_cand):
-        """Certify a candidate, keep it if it is the best so far, and
-        return the result once its gap is within ``tol``."""
-        nonlocal best
-        pval, dval, U_feas, lam_feas = _certify(prob, U_cand, lam_cand, beta_norm)
-        if not math.isfinite(pval):
-            return None
-        gap = pval - dval
-        rel = gap / (1.0 + abs(pval))
-        if best is None or rel < best[0]:
-            best = (rel, pval, dval, U_feas, lam_feas)
+    beta_norm = 1.0 if prob.mode == "margin" else prob.loss.beta
+    # a block's component in the null space of X adds norm and nothing else,
+    # so the master works in a basis of the row space (keeping it nonsingular)
+    _, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    basis = Vt[sv > 1e-12 * max(n, d) * sv.max(initial=0.0)].T
+    Xr = X @ basis
+    order = np.argsort(-np.linalg.norm(prob.row_weights @ X, axis=1), kind="stable")
+    W = order[: 2 * (n + 1)]
+    if prob.mode == "margin":
+        U0 = _phase1_feasible(prob)
+        if U0 is None:
+            raise Infeasible("margin system has no feasible point")
+        W = np.union1d(W, np.flatnonzero(np.any(U0 != 0.0, axis=1)))
+    best, steps = math.inf, 0  # best certified relative gap, interior-point steps
+    for _ in range(MSN_MAX_ROUNDS):
+        master = _Master(prob, Xr, W, beta_norm)
+        x, _, z, taken = _interior_point_socp(master)
+        steps += taken
+        U = np.zeros((k, d))
+        U[W] = x[: master.nv].reshape(W.size, -1)[:, 1:] @ basis.T
+        lam = z[:n]
+        pval, dval, U_feas, lam_feas = _certify(prob, U, lam, beta_norm)
+        rel = (pval - dval) / (1.0 + abs(pval))  # nan or inf without a feasible point
         if rel <= tol:
-            return MinSumNormsResult(
-                value=pval, blocks=U_feas, lam=lam_feas, gap=gap, iterations=it, dual_value=dval
-            )
-        return None
-
-    it = 0
-    while it < max_iter:
-        it += 1
-        # --- U step: coupled least squares via the (I + M) system
-        zhat = z - az
-        R = ((RW * zhat[None, :]) @ X) + (w - aw)
-        if has_cone:
-            R += (CS * (T - aT)) @ X
-        Q = hsolve(R)
-        b = np.einsum("kn,kn->n", RW, Q @ X.T)
-        s = cho_solve(Sfac, b)
-        U = Q - hsolve((RW * s[None, :]) @ X)
-        s = np.einsum("kn,kn->n", RW, U @ X.T)
-
-        # --- proximal steps
-        w_prev, z_prev, T_prev = w, z, T
-        p_in = U + aw
-        norms = np.linalg.norm(p_in, axis=1)
-        shrink = np.maximum(0.0, 1.0 - thresh / np.maximum(norms, 1e-300))
-        w = p_in * shrink[:, None]
-        zin = s + az
-        if prob.mode == "margin":
-            z = np.maximum(zin, 1.0)
-        else:
-            z = loss.prox(zin, rho)
-        if has_cone:
-            Vc = CS * (U @ X.T)
-            T = np.maximum(Vc + aT, 0.0)
-
-        # --- dual updates
-        aw += U - w
-        az += s - z
-        if has_cone:
-            aT += Vc - T
-
-        if it % check_every == 0 or it == max_iter:
-            done = accept(U, -rho * az)
-            if done is not None:
-                return done
-            if best is not None and best[0] <= 0.2 and it >= next_polish:
-                # the splitting has identified the active structure; polish
-                # the best certified point so far, backing off on failure
-                polish_tries += 1
-                next_polish = it + 4 * check_every * min(polish_tries, 8)
-                U_seed, lam_seed = best[3], best[4]
-                muT = rho * aT if has_cone else None
-                seen_keys: set = set()
-                candidates = itertools.chain(
-                    (_polish_direction_lp(prob, U_seed, beta_norm, br) for br in (1e-4, 1e-2)),
-                    (
-                        _polish_kkt(prob, U_seed, lam_seed, muT, beta_norm, br, rr, seen_keys)
-                        for br, rr in itertools.product((1e-4, 1e-2, 1e-6), (1e-6, 1e-3, 1e-2))
-                    ),
-                )
-                for cand in candidates:
-                    done = None if cand is None else accept(*cand)
-                    if done is not None:
-                        return done
-            # adapt the step scale by primal/dual residual balance; freeze
-            # once the gap is closing so the contraction is not reset
-            if adapt_left > 0 and (best is None or best[0] > 1e-3):
-                r_pri = np.linalg.norm(U - w) + np.linalg.norm(s - z)
-                r_dua = rho * (np.linalg.norm(w - w_prev) + np.linalg.norm(z - z_prev))
-                if has_cone:
-                    r_pri += np.linalg.norm(Vc - T)
-                    r_dua += rho * np.linalg.norm(T - T_prev)
-                new_rho = rho
-                if r_pri > 10 * r_dua:
-                    new_rho = min(rho * 2.0, 1e6)
-                elif r_dua > 10 * r_pri:
-                    new_rho = max(rho / 2.0, 1e-6)
-                if new_rho != rho:
-                    adapt_left -= 1
-                    adj = rho / new_rho
-                    aw *= adj
-                    az *= adj
-                    if has_cone:
-                        aT *= adj
-                    rho = new_rho
-            thresh = beta_norm / rho
-
-    if best is not None and best[0] <= 100 * tol:
-        _, pval, dval, U_feas, lam_feas = best
-        return MinSumNormsResult(
-            value=pval,
-            blocks=U_feas,
-            lam=lam_feas,
-            gap=pval - dval,
-            iterations=max_iter,
-            dual_value=dval,
-        )
+            return MinSumNormsResult(pval, U_feas, lam_feas, pval - dval, steps, dval)
+        best = min(best, rel)
+        theta = _dual_block_values(prob, lam, floor=beta_norm)
+        theta[W] = 0.0
+        new = np.argsort(-theta, kind="stable")[:MSN_PRICE]
+        new = new[theta[new] > beta_norm]
+        if new.size == 0:
+            break
+        W = np.concatenate([W, new])
     raise NonConvergence(
-        f"min-sum-of-norms splitting did not certify gap <= {tol:g} in {max_iter} iterations"
-        + (f" (best relative gap {best[0]:.3e})" if best else "")
+        f"min-sum-of-norms column generation did not certify gap <= {tol:g} "
+        f"({steps} interior-point steps); best relative gap {best:.3e}"
     )
 
 

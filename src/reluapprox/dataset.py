@@ -315,22 +315,17 @@ def generate_synthetic(kind: str, n: int, d: int, seed: int, max_tries: int = 20
 
 @dataclass(frozen=True)
 class LossModel:
-    """Per-sample loss with its concave dual gain g(lam) = -l*(-lam).
+    """Per-sample loss ``ell`` with its concave dual gain g(lam) = -ell*(-lam).
 
-    ``g`` and ``gprime`` act coordinatewise; ``prox(v, rho)`` evaluates
-    prox_{l/rho} elementwise, which the penalized cone solver needs.
-    ``box_upper`` bounds the dual block variables (1 for hinge, inf
-    otherwise) and ``C`` is the scaling constant with
-    g(a*lam) >= a*C*g(lam) for a in (0, 1].
+    ``g`` acts coordinatewise. ``box_upper`` bounds the dual block
+    variables (1 for hinge, inf otherwise) and ``C`` is the scaling constant
+    with g(a*lam) >= a*C*g(lam) for a in (0, 1].
     """
 
     name: str
     beta: float = 1.0
     g: Callable[[np.ndarray], np.ndarray] = field(default=lambda lam: lam)
-    gprime: Callable[[np.ndarray], np.ndarray] = field(default=lambda lam: np.ones_like(lam))
     ell: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    prox: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    dual_from_slope: Optional[Callable[[np.ndarray], np.ndarray]] = None  # -ell'(z)
     box_upper: float = math.inf
     C: float = 1.0
 
@@ -351,34 +346,17 @@ class LossModel:
         def ell(z):
             return np.maximum(0.0, 1.0 - z)
 
-        def prox(v, rho):
-            # prox of max(0, 1-z)/rho: shift by 1/rho below the kink
-            out = np.where(v >= 1.0, v, np.minimum(v + 1.0 / rho, 1.0))
-            return out
-
-        return LossModel(name="hinge", beta=beta, ell=ell, prox=prox, box_upper=1.0)
+        return LossModel(name="hinge", beta=beta, ell=ell, box_upper=1.0)
 
     @staticmethod
     def squared_hinge(beta: float) -> "LossModel":
         def ell(z):
             return np.maximum(0.0, 1.0 - z) ** 2
 
-        def prox(v, rho):
-            return np.where(v >= 1.0, v, (2.0 + rho * v) / (2.0 + rho))
-
         def g(lam):
             return lam - lam**2 / 4.0
 
-        def gprime(lam):
-            return 1.0 - lam / 2.0
-
-        def dual_from_slope(z):
-            return 2.0 * np.maximum(0.0, 1.0 - z)
-
-        return LossModel(
-            name="squared_hinge", beta=beta, ell=ell, prox=prox, g=g, gprime=gprime,
-            dual_from_slope=dual_from_slope,
-        )
+        return LossModel(name="squared_hinge", beta=beta, ell=ell, g=g)
 
     @staticmethod
     def by_name(name: str, beta: float = 1.0) -> "LossModel":

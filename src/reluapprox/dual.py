@@ -52,8 +52,9 @@ class DualCertificate:
     ``objective`` is lam' y for the max-margin loss and sum g((diag(y)
     lam)_i) otherwise; ``rho`` guarantees objective >= rho * D up to the
     additive solver accuracy recorded in ``eps``: the block duality gaps
-    for ortho, and for negcorr and geo the final interior-point gaps plus
-    the gain that the certified rescale gave up.
+    for ortho, and for negcorr and geo a bound on each block's distance to
+    its surrogate optimum (the interior-point gap, corrected for the
+    primal residual, plus the gain that the certified rescale gave up).
     """
 
     lam: np.ndarray
@@ -257,13 +258,16 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
     Its lam is scaled in by the check's own gap target, then checked by a
     certified :func:`sdp_relaxation` and scaled down (c2 is degree-2
     homogeneous in lam) until the certified bound is at most radius^2; at
-    most three rescales are tried. ``eps`` is the final interior-point gap
-    plus the gain the scaling gave up.
+    most three rescales are tried. ``eps`` bounds the block's distance to
+    the surrogate optimum: the final interior-point gap tr(XZ), plus
+    (|y| + B) |A(X) - b| for the primal residual with B an a priori bound
+    on the optimal |y|, plus the gain the scaling gave up.
     """
     nb = X_block.shape[0]
     if nb == 0:
         return 0.0, np.zeros(0), {"iterations": 0, "eps": 0.0}
-    primal, y, slack, steps, _ = _interior_point_sdp(*_block_sdp(X_block, loss, radius))
+    C, A, b, y0 = _block_sdp(X_block, loss, radius)
+    primal, y, slack, steps, _ = _interior_point_sdp(C, A, b, y0)
     solved = float(np.sum(loss.g(y[:nb])))
     r2 = radius**2
     # y[:nb] > 0 (and < 1 for hinge) has c2 below r2 by about the solve's gap;
@@ -282,7 +286,15 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
             )
         lam = lam * math.sqrt(r2 / hi)
     value = float(np.sum(loss.g(lam)))
-    eps = float(np.sum(primal * slack)) + max(solved - value, 0.0)
+    # for the optimal y*, b'y - b'y* <= tr(XZ) - y'r + |y*| |r| with r = A(X) - b
+    # (Jansson, Chaykin and Keil 2007). |y*| is bounded a priori: lam_j <= r/|x_j|
+    # (c2(lam) >= lam_j^2 |x_j|^2) and <= 1 for the hinge, 1'zeta <= 4 r^2 with
+    # zeta >= 0, and t = |lam|^2 for the squared hinge
+    lam2 = float(np.sum(np.minimum(radius / np.linalg.norm(X_block, axis=1), loss.box_upper) ** 2))
+    y_bound = math.sqrt(lam2 + (4.0 * r2) ** 2 + (lam2**2 if loss.name == "squared_hinge" else 0.0))
+    residual = float(np.linalg.norm(np.einsum("ijk,jk->i", A, primal) - b))
+    gap = float(np.sum(primal * slack)) + (float(np.linalg.norm(y)) + y_bound) * residual
+    eps = gap + max(solved - value, 0.0)
     return value, lam, {"iterations": steps, "eps": eps, "sdp": sol}
 
 
@@ -297,8 +309,8 @@ def solve_dual_negcorr(
     c2(lam) <= beta^2, solved as one semidefinite program (the Schur
     complement form of :func:`_block_negcorr`). The result is feasible for
     the true dual and its objective is at least sqrt(2/pi) * D - eps (times
-    the loss constant C for general losses), with ``eps`` the final
-    interior-point gaps plus what the rescale checks gave up.
+    the loss constant C for general losses), with ``eps`` the sum of the
+    blocks' bounds on their distance to the surrogate optimum.
     """
     loss = loss or LossModel.max_margin()
     cls = classify_dataset(ds, tol=class_tol)
@@ -350,7 +362,7 @@ def solve_dual_geo(
     solved (each block as one SDP, as in :func:`solve_dual_negcorr`) and the
     better feasible objective kept; the guarantee is objective >=
     sqrt(2/pi) (1-c) D - eps, with ``eps`` the sum of the block solves'
-    interior-point gaps and rescale losses.
+    bounds on their distance to the surrogate optimum.
     """
     loss = loss or LossModel.max_margin()
     if not 0.0 < c < 1.0:

@@ -261,6 +261,10 @@ def solve_primal_negcorr(
     achieves exactly p = p_+ + p_-, which is certified against the dual
     lower bound.
     """
+    if not (eps0 > 0.0 and 0.0 < delta < 1.0):
+        raise ValueError("need eps0 > 0 and 0 < delta < 1")
+    if k_override is not None and k_override < 1:
+        raise ValueError("k_override must be a positive sample count")
     loss = loss or LossModel.max_margin()
     if dual_cert is None:
         dual_cert = solve_dual_negcorr(ds, loss)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from reluapprox import cli
 from reluapprox.cli import main
@@ -170,3 +174,59 @@ def test_certificate_violation_exit_4(capsys, tmp_path, monkeypatch):
     assert report["error"]["type"] == "CertificateViolation"
     assert "weak duality" in report["error"]["message"]
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("flags", [["--delta", "0"], ["--eps0", "0"], ["--k", "-3"]])
+def test_solve_bad_rounding_parameters_exit_2(capsys, tmp_path, flags):
+    # found by the property test below: --delta 0 divided by zero in the sample count
+    ds = generate_synthetic("negative_correlation", 6, 2, seed=0)
+    path = tmp_path / "nc.csv"
+    save_dataset(ds, str(path))
+    code, out = run_cli(capsys, "solve", "--input", str(path), "--method", "negcorr", *flags)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+@settings(
+    max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    n=st.integers(2, 8),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    edits=st.sampled_from(["none", "duplicate", "zero"]),
+    cmd=st.sampled_from(["classify", "solve", "oracle"]),
+    loss=st.sampled_from(["maxmargin", "hinge", "squared_hinge"]),
+    beta=st.sampled_from(["1", "0.3", "2", "0", "-1"]),
+    tol=st.sampled_from(["1e-8", "1e-4", "0", "1e-15"]),
+    method=st.sampled_from(["auto", "ortho", "negcorr", "geo"]),
+    c=st.sampled_from(["0.5", "0.9", "0", "1", "-0.5"]),
+    eps0=st.sampled_from(["0.3", "1", "0", "-0.1"]),
+    delta=st.sampled_from(["0.1", "0.9", "0", "1", "-1"]),
+    k=st.sampled_from([None, "5", "1", "0", "-3"]),
+)
+def test_cli_never_raises_property(tmp_path, n, d, seed, edits, cmd, loss, beta, tol, method, c, eps0, delta, k):
+    rng = np.random.default_rng(seed)
+    X = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=(n, d))
+    y = rng.choice([-1, 1], size=n)
+    if edits == "duplicate":
+        X[-1], y[-1] = X[0], -y[0]
+    elif edits == "zero":
+        X[-1] = 0.0
+    path = tmp_path / "data.csv"
+    path.write_text(
+        ",".join([f"x{i + 1}" for i in range(d)] + ["y"]) + "\n"
+        + "".join(",".join([repr(float(v)) for v in row] + [str(int(lab))]) + "\n" for row, lab in zip(X, y))
+    )
+    argv = [cmd, "--input", str(path), "--loss", loss, "--beta", beta, "--tol", tol]
+    if cmd == "solve":
+        argv += ["--method", method, "--c", c, "--eps0", eps0, "--delta", delta]
+        argv += ["--k", k] if k is not None else []
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code != 2:
+        report = json.loads(out.getvalue())
+        assert isinstance(report, dict)
+        assert ("error" in report) == (code != 0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reluapprox.conic import (
     MinSumNormsProblem,
@@ -11,6 +13,7 @@ from reluapprox.conic import (
     solve_min_sum_norms,
 )
 from reluapprox.dataset import LossModel
+from reluapprox.dual import _block_ortho
 from reluapprox.errors import Infeasible
 
 
@@ -126,3 +129,60 @@ def test_msn_infeasible_margin_raises():
     prob = MinSumNormsProblem.from_masks(X, np.array([[1.0, -1.0]]))
     with pytest.raises(Infeasible):
         solve_min_sum_norms(prob)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 8),
+    d=st.integers(1, 3),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    loss_name=st.sampled_from(["maxmargin", "hinge", "squared_hinge"]),
+    beta=st.floats(0.05, 2.0),
+    cones=st.booleans(),
+)
+def test_msn_certified_property(n, d, k, seed, loss_name, beta, cones):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    y = rng.choice([-1.0, 1.0], size=n)
+    masks = rng.random((k, n)) < 0.5
+    masks[rng.integers(k, size=n), np.arange(n)] = True  # every row in some block
+    masks[np.arange(k), rng.integers(n, size=k)] = True  # every block has a row
+    loss = LossModel.by_name(loss_name, beta)
+    prob = MinSumNormsProblem(
+        X=X,
+        row_weights=y * masks,
+        loss=loss,
+        mode="penalized" if loss.penalized else "margin",
+        cone_signs=2.0 * masks - 1.0 if cones else None,
+    )
+    tol = 1e-8
+    try:
+        res = solve_min_sum_norms(prob, tol=tol)
+    except Infeasible:
+        assume(False)
+    U, lam = res.blocks, res.lam
+    s = np.einsum("kn,kn->n", prob.row_weights, U @ X.T)
+    norms = np.linalg.norm(U, axis=1)
+    if loss.penalized:
+        budget = beta
+        assert abs(np.sum(loss.ell(s)) + beta * norms.sum() - res.value) <= 1e-9 * (1 + abs(res.value))
+        assert abs(np.sum(loss.g(lam)) - res.dual_value) <= 1e-9 * (1 + abs(res.dual_value))
+    else:
+        budget = 1.0
+        assert s.min() >= 1.0 - 1e-9
+        assert abs(norms.sum() - res.value) <= 1e-9 * (1 + res.value)
+        assert abs(lam.sum() - res.dual_value) <= 1e-9 * (1 + res.dual_value)
+    assert np.all(lam >= 0.0) and np.all(lam <= loss.box_upper)
+    row_scale = 1.0 + np.linalg.norm(X, axis=1).max()
+    for i in range(k):
+        v = X.T @ (prob.row_weights[i] * lam)
+        if cones:
+            rows = prob.cone_signs[i][:, None] * X
+            assert (rows @ U[i]).min() >= -1e-9 * row_scale * (1.0 + norms[i])
+            v = project_polyhedral_cone(v, rows)
+        assert np.linalg.norm(v) <= budget * (1.0 + 1e-9)
+    assert res.value - res.dual_value <= tol * (1.0 + abs(res.value))
+    if k == 1 and not cones and not loss.penalized:
+        value = _block_ortho(prob.row_weights[0][:, None] * X, loss, tol=1e-10)[0]
+        assert abs(res.value - value) <= 1e-8 * (1 + value)

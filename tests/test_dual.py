@@ -113,7 +113,10 @@ def test_negcorr_exact_on_ortho_data(loss):
     for seed in range(3):
         ds = generate_synthetic("orthogonal_separable", 8, 3, seed)
         D = solve_dual_ortho(ds, loss).objective
-        assert abs(solve_dual_negcorr(ds, loss).objective - D) <= 1e-7 * (1 + D)
+        cert = solve_dual_negcorr(ds, loss)
+        assert abs(cert.objective - D) <= 1e-7 * (1 + D)
+        # eps bounds the distance to the surrogate optimum, which is D here
+        assert 0.0 <= D - cert.objective <= cert.eps + 1e-12 * (1 + D)
 
 
 def test_negcorr_wrong_regime():
