@@ -34,6 +34,7 @@ __all__ = [
     "c1_value",
     "c2_value_and_gradient",
     "realize_pattern",
+    "realize_patterns",
     "realize_mask_lp",
     "RealizedPattern",
 ]
@@ -228,6 +229,11 @@ def c2_value_and_gradient(X: np.ndarray, lam: np.ndarray) -> tuple[float, SdpSol
     maximizing Z the map lam -> (1/4) tr(Z Q(lam)) is a fixed quadratic
     form whose gradient, (1/2) (P o X X') lam with P the data-block
     compression of Z, is an envelope (super)gradient of c2.
+
+    A library function: no solver path calls it (the negcorr and geo duals
+    solve one SDP in (lam, zeta) per block instead). The gradient is taken
+    at the interior-point Z, not at an exact maximizer, so it is accurate
+    only to about the square root of the SDP's duality gap.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     lam = np.asarray(lam, dtype=float)
@@ -246,7 +252,12 @@ def c2_value_and_gradient(X: np.ndarray, lam: np.ndarray) -> tuple[float, SdpSol
 
 
 def c2_fixed_gradient(X: np.ndarray, lam: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Gradient of (1/4) tr(Z Q(lam)) in lam for fixed Z."""
+    """Gradient of (1/4) tr(Z Q(lam)) in lam for fixed Z.
+
+    A library function behind :func:`c2_value_and_gradient`; no solver path
+    calls it. With Z an interior-point solution it approximates the
+    envelope gradient of c2 to about the square root of the SDP's gap.
+    """
     n = X.shape[0]
     K = X @ X.T
     P = Z[:n, :n] + np.outer(Z[:n, n], np.ones(n)) + np.outer(np.ones(n), Z[n, :n]) + Z[n, n]
@@ -304,57 +315,83 @@ def realize_mask_lp(
     return w
 
 
+def realize_patterns(
+    X: np.ndarray,
+    R: np.ndarray,
+    lam_tilde: np.ndarray,
+    guard_rows: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Map a batch of Gaussian draws (rows of R ~ N(0, Z)) to activation patterns.
+
+    Row i of the k x (n+1) matrix R gives the target mask b_j = (z_j z_{n+1}
+    + 1)/2 with z = sign(R_i). At the exact SDP optimum the vector
+    w = z_{n+1} X' diag(lam)(r_{1:n} + r_{n+1} 1) realizes it on every row
+    with lam_j > 0; rows with lam_j at most ``DROP_TOL`` max(lam) are
+    unconstrained and take whatever sign w gives them. The gates of all k
+    draws, their mask check on the kept rows and their guard check
+    (``guard_rows @ w <= 0``) are three matrix products. A draw whose gate
+    fails a check, or is zero, falls back to an LP feasibility solve with
+    unit slack (:func:`realize_mask_lp`) on the kept rows; the LP runs once
+    per distinct kept-row target in the call and its witness serves every
+    draw with that target.
+
+    Returns ``(mask_target, mask, W, method)``: k x n target masks, k x n
+    realized masks of the gates on all rows (ties count as 1), k x d gates
+    (unit norm on the algebraic route) and one method per draw,
+    ``"algebraic"``, ``"lp"``, ``"zero"`` (no kept row, or the LP's all-ones
+    fallback w = 0) or ``"unrealizable"`` (the LP is infeasible; the mask
+    and gate rows of such a draw are zero).
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    lam_tilde = np.asarray(lam_tilde, dtype=float)
+    n, d = X.shape
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    k = R.shape[0]
+    Z = sign_pm(R)
+    targets = ((Z[:, :n] * Z[:, n:]) + 1.0) / 2.0
+    keep = lam_tilde > DROP_TOL * lam_tilde.max(initial=0.0)
+    if not keep.any():
+        return targets, np.ones((k, n)), np.zeros((k, d)), np.full(k, "zero", dtype="<U12")
+    W = Z[:, n:] * ((lam_tilde * (R[:, :n] + R[:, n:])) @ X)
+    P = W @ X.T
+    norms = np.linalg.norm(W, axis=1)
+    ok = np.all((P[:, keep] >= 0.0) == targets[:, keep].astype(bool), axis=1) & (norms > 0)
+    if guard_rows is not None and np.size(guard_rows):
+        ok &= np.all(W @ np.atleast_2d(guard_rows).T <= 0.0, axis=1)
+    masks = (P >= 0.0).astype(float)
+    W[ok] /= norms[ok, None]
+    method = np.full(k, "algebraic", dtype="<U12")
+    # LP fallback on the kept rows, once per distinct kept-row target
+    kept_targets = targets[:, keep]
+    fallback: dict[bytes, tuple] = {}  # kept-row target -> (method, mask, gate)
+    for i in np.flatnonzero(~ok):
+        key = kept_targets[i].tobytes()
+        if key not in fallback:
+            try:
+                sub = realize_mask_lp(
+                    X[keep], kept_targets[i], guard_rows=guard_rows,
+                    guard_slack=1e-9 if guard_rows is not None else 0.0,
+                )
+            except Unrealizable:
+                fallback[key] = ("unrealizable", 0.0, 0.0)
+            else:
+                fallback[key] = ("lp" if np.any(sub != 0.0) else "zero", X @ sub >= 0.0, sub)
+        method[i], masks[i], W[i] = fallback[key]
+    return targets, masks, W, method
+
+
 def realize_pattern(
     X: np.ndarray,
     r: np.ndarray,
     lam_tilde: np.ndarray,
     guard_rows: Optional[np.ndarray] = None,
 ) -> RealizedPattern:
-    """Map a Gaussian draw r ~ N(0, Z) to a realizable activation pattern.
+    """Map one Gaussian draw r ~ N(0, Z) to a realizable activation pattern.
 
-    The target mask is b_j = (z_j z_{n+1} + 1)/2 with z = sign(r). At the
-    exact SDP optimum the vector w = sign(r_{n+1}) X' diag(lam)(r_{1:n} +
-    r_{n+1} 1) realizes it on every row with lam_j > 0; rows with lam_j at
-    most ``DROP_TOL`` max(lam) are unconstrained and take whatever sign w
-    gives them. When the algebraic vector fails numerically (or violates the
-    guard), an LP feasibility solve with unit slack takes over.
+    The one-row case of :func:`realize_patterns`; raises ``Unrealizable``
+    when no gate vector realizes the draw's target on the kept rows.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    lam_tilde = np.asarray(lam_tilde, dtype=float)
-    n = X.shape[0]
-    r = np.asarray(r, dtype=float)
-    z = sign_pm(r)
-    b_target = ((z[:n] * z[n]) + 1.0) / 2.0
-    keep = lam_tilde > DROP_TOL * lam_tilde.max(initial=0.0)
-    if not keep.any():
-        return RealizedPattern(
-            mask_target=b_target, mask=np.ones(n), w=np.zeros(X.shape[1]), method="zero"
-        )
-    w = z[n] * (X.T @ (lam_tilde * (r[:n] + r[n])))
-    prods = X @ w
-    ok = np.array_equal((prods[keep] >= 0.0), b_target[keep].astype(bool))
-    if ok and guard_rows is not None and np.size(guard_rows):
-        ok = bool(np.all(np.atleast_2d(guard_rows) @ w <= 0.0)) and np.linalg.norm(w) > 0
-    if ok and np.linalg.norm(w) > 0:
-        return RealizedPattern(
-            mask_target=b_target,
-            mask=(prods >= 0.0).astype(float),
-            w=w / np.linalg.norm(w),
-            method="algebraic",
-        )
-    # LP fallback on the kept rows only
-    sub = realize_mask_lp(
-        X[keep], b_target[keep], guard_rows=guard_rows,
-        guard_slack=1e-9 if guard_rows is not None else 0.0,
-    )
-    if not np.any(sub != 0.0):
-        method = "zero"
-    else:
-        method = "lp"
-    prods = X @ sub
-    return RealizedPattern(
-        mask_target=b_target,
-        mask=(prods >= 0.0).astype(float),
-        w=sub,
-        method=method,
-    )
+    targets, masks, W, method = realize_patterns(X, r, lam_tilde, guard_rows=guard_rows)
+    if method[0] == "unrealizable":
+        raise Unrealizable(f"no gate vector realizes mask {targets[0].astype(int).tolist()}")
+    return RealizedPattern(mask_target=targets[0], mask=masks[0], w=W[0], method=str(method[0]))

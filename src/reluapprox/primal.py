@@ -27,7 +27,7 @@ from .errors import (
     Unrealizable,
     ZeroDirection,
 )
-from .maxcut import psd_factor, realize_pattern
+from .maxcut import psd_factor, realize_patterns
 
 MAX_ROUNDS = 3  # rounding rounds per block, doubling the draws each time
 
@@ -203,23 +203,15 @@ def default_sample_count(n_block: int, eps0: float, delta: float) -> int:
 
 
 def _round_block_masks(X_block, lam_block, sdp, k, guard, rng):
-    """Draw k Gaussian rounding samples and realize them as gate patterns."""
+    """Draw k Gaussian rounding samples and realize them as gate patterns.
+
+    Draws the LP cannot realize, and zero gates, are dropped.
+    """
     L = psd_factor(sdp.Z)
     draws = rng.standard_normal((k, L.shape[0])) @ L.T
-    masks, gates = [], []
-    dropped = 0
-    for r in draws:
-        try:
-            realized = realize_pattern(X_block, r, lam_block, guard_rows=guard)
-        except Unrealizable:
-            dropped += 1
-            continue
-        if realized.method == "zero":
-            dropped += 1
-            continue
-        masks.append(realized.mask)
-        gates.append(realized.w)
-    return masks, gates, dropped
+    _, masks, gates, method = realize_patterns(X_block, draws, lam_block, guard_rows=guard)
+    ok = (method == "algebraic") | (method == "lp")
+    return masks[ok], gates[ok]
 
 
 def _solve_block_primal(X_block, masks, loss):
@@ -289,25 +281,16 @@ def solve_primal_negcorr(
         ks.append(k)
         sdp = info["sdp"]
         guard_rows = guard if guard.shape[0] else None
-        masks, gates = [], []
+        masks, gates = np.empty((0, nb)), np.empty((0, ds.d))
         k_round = k
         for _ in range(MAX_ROUNDS):
-            m_new, g_new, dropped = _round_block_masks(
-                Xb, lam_b, sdp, k_round, guard_rows, rng
-            )
-            masks.extend(m_new)
-            gates.extend(g_new)
-            if masks:
-                uniq: dict[bytes, int] = {}
-                for i, m in enumerate(masks):
-                    uniq.setdefault(np.asarray(m, dtype=np.int8).tobytes(), i)
-                keep = sorted(uniq.values())
-                masks = [masks[i] for i in keep]
-                gates = [gates[i] for i in keep]
-                nonzero = [i for i, m in enumerate(masks) if np.any(np.asarray(m) != 0)]
-                masks = [masks[i] for i in nonzero]
-                gates = [gates[i] for i in nonzero]
-            if masks:
+            m_new, g_new = _round_block_masks(Xb, lam_b, sdp, k_round, guard_rows, rng)
+            masks, gates = np.vstack([masks, m_new]), np.vstack([gates, g_new])
+            # distinct nonzero masks, in order of first occurrence
+            keep = np.sort(np.unique(masks, axis=0, return_index=True)[1])
+            keep = keep[masks[keep].any(axis=1)]
+            masks, gates = masks[keep], gates[keep]
+            if len(masks):
                 try:
                     res = _solve_block_primal(Xb, masks, loss)
                     break

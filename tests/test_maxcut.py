@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reluapprox.maxcut as maxcut
 from reluapprox.dataset import Dataset
 from reluapprox.errors import TooLarge, Unrealizable
 from reluapprox.geometry import zonotope_vertex_max
 from reluapprox.maxcut import (
+    DROP_TOL,
     c1_value,
     c2_fixed_gradient,
     c2_value_and_gradient,
     dual_quadratic,
     gw_round,
     maxcut_bruteforce,
+    psd_factor,
     realize_mask_lp,
     realize_pattern,
+    realize_patterns,
     sdp_relaxation,
 )
 
@@ -240,3 +244,48 @@ def test_realize_pattern_sampled_masks():
         if np.array_equal(rp.mask, rp.mask_target):
             realized += 1
     assert realized == 100  # Lemma-style realizability holds on every draw
+
+
+def test_realize_patterns_rows_match_single_draws(monkeypatch):
+    # dropped rows (lam below DROP_TOL max lam) and a guard row that sends
+    # some draws to the LP fallback, some of them unrealizable
+    lp_targets = []
+    lp = maxcut.realize_mask_lp
+
+    def counted(X, mask, *args, **kwargs):
+        lp_targets.append(np.asarray(mask).tobytes())
+        return lp(X, mask, *args, **kwargs)
+
+    monkeypatch.setattr(maxcut, "realize_mask_lp", counted)
+    rng = np.random.default_rng(5)
+    seen = set()
+    fallbacks = lp_calls = 0
+    for _ in range(4):
+        n = int(rng.integers(5, 11))
+        d = int(rng.integers(2, 4))
+        X = rng.standard_normal((n, d))
+        lam = rng.random(n) + 0.1
+        lam[rng.choice(n, 2, replace=False)] *= 1e-9
+        assert np.sum(lam <= DROP_TOL * lam.max()) == 2
+        G = -X[:1] + 0.5 * rng.standard_normal((1, d))
+        sol = sdp_relaxation(dual_quadratic(X, lam))
+        R = rng.standard_normal((50, n + 1)) @ psd_factor(sol.Z).T
+        lp_targets.clear()
+        targets, masks, W, method = realize_patterns(X, R, lam, guard_rows=G)
+        assert len(set(lp_targets)) == len(lp_targets)  # one LP per distinct kept-row target
+        lp_calls += len(lp_targets)
+        fallbacks += int(np.sum(method != "algebraic"))
+        seen.update(method.tolist())
+        for i, r in enumerate(R):
+            if method[i] == "unrealizable":
+                with pytest.raises(Unrealizable):
+                    realize_pattern(X, r, lam, guard_rows=G)
+                continue
+            rp = realize_pattern(X, r, lam, guard_rows=G)
+            assert rp.method == method[i]
+            assert np.array_equal(rp.mask_target, targets[i])
+            assert np.array_equal(rp.mask, masks[i])
+            assert np.abs(rp.w - W[i]).max() <= 1e-15 * np.linalg.norm(rp.w)
+            assert np.array_equal((X @ W[i] >= 0.0).astype(float), masks[i])
+    assert seen == {"algebraic", "lp", "unrealizable"}
+    assert 0 < lp_calls < fallbacks

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reluapprox.maxcut as maxcut
 from reluapprox.dataset import Dataset, LossModel, generate_synthetic
 from reluapprox.dual import check_dual_feasibility, solve_dual_ortho
 from reluapprox.errors import DimensionMismatch, GenerationFailed, ZeroDirection
@@ -161,6 +162,28 @@ def test_negcorr_vs_oracle_bounds():
         res = solve_primal_negcorr(ds, eps0=0.1, delta=0.05, seed=seed)
         assert res.p >= P - 1e-6 * (1 + P)
         assert res.p <= math.sqrt(math.pi / 2.0) * 1.1 * P + 1e-6
+
+
+def test_negcorr_rounding_no_cross_call_state(monkeypatch):
+    # A, then B, then A again with the same seed: A's outputs repeat bit for
+    # bit, so nothing from the rounding of one call reaches the next
+    lp_calls = []
+    lp = maxcut.realize_mask_lp
+
+    def counted(*args, **kwargs):
+        lp_calls.append(1)
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(maxcut, "realize_mask_lp", counted)
+    ds_a = generate_synthetic("negative_correlation", 10, 3, seed=7)
+    ds_b = generate_synthetic("negative_correlation", 10, 3, seed=1)
+    first = solve_primal_negcorr(ds_a, seed=3)
+    assert lp_calls  # A's rounding reaches the LP fallback
+    solve_primal_negcorr(ds_b, seed=3)
+    again = solve_primal_negcorr(ds_a, seed=3)
+    assert again.p == first.p
+    for name in ("H", "W1", "w2"):
+        assert np.array_equal(getattr(again.network, name), getattr(first.network, name))
 
 
 def test_weak_duality_lower_bound():
