@@ -8,7 +8,11 @@ Nesterov-Todd scaling, is priced against every block's dual constraint,
 and it stops on a *certified* duality gap of the full program: the primal
 blocks are scaled to exact feasibility and the master's multipliers into
 their constraint set, so the reported gap is a true bound however
-accurately the master was solved. The semidefinite programs (the Max-Cut
+accurately the master was solved. A margin program without cone rows
+first tries one block coupled to every row, a least-distance problem
+solved exactly by Lawson and Hanson's NNLS; that block often certifies
+alone, and otherwise keeps every master feasible without the phase-1 LP.
+The semidefinite programs (the Max-Cut
 relaxation and the block surrogate dual) share one primal-dual
 interior-point loop; its callers certify what it returns.
 """
@@ -160,6 +164,29 @@ def _nnls_small(B: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
                 return np.zeros(p)
         resid = y - B[:, idx] @ mu[idx]
     return mu
+
+
+def _least_distance(G: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Solve the least-distance program min ||u|| s.t. G u >= 1 exactly.
+
+    Lawson and Hanson, *Solving Least Squares Problems*, ch. 23: the NNLS
+    min ||E mu - e|| over mu >= 0, with E = [G'; 1'] and e the last unit
+    vector, gives the multipliers lam = mu / (1 - 1'mu) and u = G' lam. The
+    residual's last entry is -(1 - 1'mu), so the system has no solution
+    exactly when that vanishes; below 4 n eps this returns None. Otherwise
+    it returns (u, lam), lam being the multipliers of min ||u||^2 / 2, so
+    ||u||^2 = 1'lam at the optimum.
+    """
+    n, d = G.shape
+    E = np.vstack([G.T, np.ones((1, n))])
+    e = np.zeros(d + 1)
+    e[-1] = 1.0
+    mu = _nnls_small(E, e)
+    denom = 1.0 - float(mu.sum())
+    if denom <= 4.0 * n * np.finfo(float).eps:
+        return None
+    lam = mu / denom
+    return G.T @ lam, lam
 
 
 def project_polyhedral_cone(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -349,7 +376,12 @@ def _cone_violation(prob, U) -> float:
 
 
 def _certify(prob, U, lam_raw, beta_norm):
-    """Return (primal value, dual value, feasible U, feasible lam)."""
+    """Return (primal value, dual value, feasible U, feasible lam, theta).
+
+    ``theta`` holds the :func:`_dual_block_values` at lam_raw clipped to
+    [0, box_upper], before the scaling into the dual constraint; it is None
+    when a cone violation ends the penalized certification first.
+    """
     X, RW = prob.X, prob.row_weights
     loss = prob.loss
     U = _repair_cones(prob, U)
@@ -368,10 +400,10 @@ def _certify(prob, U, lam_raw, beta_norm):
         tmax = theta.max() if theta.size else 0.0
         lam_feas = lam / max(1.0, tmax)
         dval = float(lam_feas.sum())
-        return pval, dval, U_feas, lam_feas
+        return pval, dval, U_feas, lam_feas, theta
     # penalized
     if not cone_ok:
-        return math.inf, -math.inf, U, lam
+        return math.inf, -math.inf, U, lam, None
     pval = float(np.sum(loss.ell(s)) + beta_norm * np.linalg.norm(U, axis=1).sum())
     lam = np.minimum(lam, loss.box_upper)
     theta = _dual_block_values(prob, lam)
@@ -379,7 +411,7 @@ def _certify(prob, U, lam_raw, beta_norm):
     if tmax > beta_norm:
         lam = lam * (beta_norm / tmax)
     dval = float(np.sum(loss.g(lam)))
-    return pval, dval, U, lam
+    return pval, dval, U, lam, theta
 
 
 # The master program is a second-order cone program min c'x s.t. A x - b in K,
@@ -721,35 +753,61 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     The master is the program restricted to a working set W of blocks, a
     second-order cone program (see :class:`_Master`) solved by
     :func:`_interior_point_socp`. W starts as the 2(n+1) blocks with the
-    largest |F_i' 1|; in margin mode the phase-1 LP, which raises
-    :class:`Infeasible` when the full margin system has no solution, also
-    adds the blocks of its feasible point, so no master is infeasible. Each
-    round certifies the master's blocks and margin multipliers lam on the
-    full program (:func:`_certify`: the blocks scaled to feasibility, lam
-    scaled into every block's dual constraint) and stops once the relative
-    gap is within ``tol``. Otherwise pricing adds the (up to 8) blocks whose
-    dual constraint value at lam is largest above the budget. No violated
-    block left, or MSN_MAX_ROUNDS rounds, raise :class:`NonConvergence`
-    with the best certified gap. ``iterations`` counts the interior-point
-    steps summed over the rounds.
+    largest |F_i' 1|; in margin mode it also holds blocks of a feasible
+    point, so no master is infeasible. Without cone rows the first try is
+    the block with the largest |F_i' 1| among those whose row weights are
+    nonzero on every row (only such a block can meet the margins alone):
+    its one-block program min ||u|| s.t. F_i u >= 1 is solved exactly by
+    :func:`_least_distance` and certified on the full program. If that
+    certifies, the result is returned with ``iterations = 0``; if it is
+    merely feasible, that block joins W. When no such block is feasible,
+    or the program has cone rows, the phase-1 LP, which raises
+    :class:`Infeasible` when the full margin system has no solution, adds
+    the blocks of its feasible point instead. Each round certifies the
+    master's blocks and margin multipliers lam on the full program
+    (:func:`_certify`: the blocks scaled to feasibility, lam scaled into
+    every block's dual constraint) and stops once the relative gap is
+    within ``tol``. Otherwise pricing adds the (up to 8) blocks whose dual
+    constraint value at lam, as the certification computed it, is largest
+    above the budget. No violated block left, or MSN_MAX_ROUNDS rounds,
+    raise :class:`NonConvergence` with the best certified gap.
+    ``iterations`` counts the interior-point steps summed over the rounds.
     """
     X = prob.X
     n, d = X.shape
     k = prob.k
     beta_norm = 1.0 if prob.mode == "margin" else prob.loss.beta
+    order = np.argsort(-np.linalg.norm(prob.row_weights @ X, axis=1), kind="stable")
+    W = order[: 2 * (n + 1)]
+    best, steps = math.inf, 0  # best certified relative gap, interior-point steps
+    if prob.mode == "margin":
+        # only a block coupled to every row can meet every margin alone
+        full = order[np.all(prob.row_weights[order] != 0.0, axis=1)][:1]
+        sol = None
+        if full.size and prob.cone_signs is None:
+            sol = _least_distance(prob.row_weights[full[0]][:, None] * X)
+        pval = math.inf
+        if sol is not None:
+            U = np.zeros((k, d))
+            U[full] = sol[0]
+            # min ||u|| has the multipliers of min ||u||^2 / 2 divided by ||u||
+            pval, dval, U_feas, lam_feas, _ = _certify(prob, U, sol[1] / np.linalg.norm(sol[0]), beta_norm)
+            rel = (pval - dval) / (1.0 + abs(pval))
+            if rel <= tol:
+                return MinSumNormsResult(pval, U_feas, lam_feas, pval - dval, 0, dval)
+            best = min(best, rel)
+        if math.isfinite(pval):  # a certified feasible block keeps every master feasible
+            W = np.union1d(W, full)
+        else:
+            U0 = _phase1_feasible(prob)
+            if U0 is None:
+                raise Infeasible("margin system has no feasible point")
+            W = np.union1d(W, np.flatnonzero(np.any(U0 != 0.0, axis=1)))
     # a block's component in the null space of X adds norm and nothing else,
     # so the master works in a basis of the row space (keeping it nonsingular)
     _, sv, Vt = np.linalg.svd(X, full_matrices=False)
     basis = Vt[sv > 1e-12 * max(n, d) * sv.max(initial=0.0)].T
     Xr = X @ basis
-    order = np.argsort(-np.linalg.norm(prob.row_weights @ X, axis=1), kind="stable")
-    W = order[: 2 * (n + 1)]
-    if prob.mode == "margin":
-        U0 = _phase1_feasible(prob)
-        if U0 is None:
-            raise Infeasible("margin system has no feasible point")
-        W = np.union1d(W, np.flatnonzero(np.any(U0 != 0.0, axis=1)))
-    best, steps = math.inf, 0  # best certified relative gap, interior-point steps
     for _ in range(MSN_MAX_ROUNDS):
         master = _Master(prob, Xr, W, beta_norm)
         x, _, z, taken = _interior_point_socp(master)
@@ -757,12 +815,13 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
         U = np.zeros((k, d))
         U[W] = x[: master.nv].reshape(W.size, -1)[:, 1:] @ basis.T
         lam = z[:n]
-        pval, dval, U_feas, lam_feas = _certify(prob, U, lam, beta_norm)
+        pval, dval, U_feas, lam_feas, theta = _certify(prob, U, lam, beta_norm)
         rel = (pval - dval) / (1.0 + abs(pval))  # nan or inf without a feasible point
         if rel <= tol:
             return MinSumNormsResult(pval, U_feas, lam_feas, pval - dval, steps, dval)
         best = min(best, rel)
-        theta = _dual_block_values(prob, lam, floor=beta_norm)
+        if theta is None:
+            theta = _dual_block_values(prob, lam, floor=beta_norm)
         theta[W] = 0.0
         new = np.argsort(-theta, kind="stable")[:MSN_PRICE]
         new = new[theta[new] > beta_norm]

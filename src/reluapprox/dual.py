@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import SDP_GAP, MinSumNormsProblem, _interior_point_sdp, _nnls_small, solve_min_sum_norms
+from .conic import SDP_GAP, MinSumNormsProblem, _interior_point_sdp, _least_distance, solve_min_sum_norms
 from .dataset import (
     NEGATIVE_CORRELATION,
     ORTHO_SEPARABLE,
@@ -117,15 +117,13 @@ def _block_ortho(X_block: np.ndarray, loss: LossModel, tol: float):
     """Solve one class block of the separable dual.
 
     Max-margin blocks are the least-distance program min ||u|| s.t.
-    X u >= 1, solved exactly (Lawson and Hanson, *Solving Least Squares
-    Problems*, ch. 23): the NNLS min ||E mu - e|| over mu >= 0, with
-    E = [X'; 1'] and e the last unit vector, gives the multipliers
-    lam = mu / (1 - 1'mu) and u = X' lam. The residual's last entry is
-    -||E mu - e||^2, so it is zero exactly when the margin system has no
-    solution. The block is certified as the kernel certifies its points:
-    u is scaled to primal feasibility, lam onto the unit dual sphere, and
-    the relative gap must be within ``tol``. Penalized losses run the
-    min-sum-of-norms kernel, which certifies the gap itself.
+    X u >= 1, solved exactly by the NNLS of :func:`_least_distance`
+    (Lawson and Hanson, *Solving Least Squares Problems*, ch. 23), which
+    reports a margin system without solution. The block is certified as
+    the kernel certifies its points: u is scaled to primal feasibility,
+    lam onto the unit dual sphere, and the relative gap must be within
+    ``tol``. Penalized losses run the min-sum-of-norms kernel, which
+    certifies the gap itself.
 
     Returns (block value, block dual, direction u, absolute duality gap).
     """
@@ -136,15 +134,10 @@ def _block_ortho(X_block: np.ndarray, loss: LossModel, tol: float):
         prob = MinSumNormsProblem.from_masks(X_block, np.ones((1, nb)), loss=loss, mode="penalized")
         res = solve_min_sum_norms(prob, tol=tol)
         return float(np.sum(loss.g(res.lam))), res.lam, res.blocks[0], res.gap
-    E = np.vstack([X_block.T, np.ones((1, nb))])
-    e = np.zeros(d + 1)
-    e[-1] = 1.0
-    mu = _nnls_small(E, e)
-    denom = 1.0 - float(mu.sum())  # minus the residual's last entry
-    if denom <= 4.0 * nb * np.finfo(float).eps:
+    sol = _least_distance(X_block)
+    if sol is None:
         raise Infeasible("margin system X u >= 1 has no feasible point")
-    lam = mu / denom
-    u = X_block.T @ lam
+    u, lam = sol
     smin = float((X_block @ u).min())
     if smin <= 0.0:
         raise NonConvergence(f"least-distance block lost feasibility (min margin {smin:.3e})")

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import scipy.optimize
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from reluapprox import conic
 from reluapprox.conic import (
     MinSumNormsProblem,
     box_constrained_least_squares,
@@ -123,6 +125,46 @@ def test_msn_duality_gap_certified():
         assert res.dual_value <= res.value + 1e-12
 
 
+def _forbid(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_msn_full_support_block_exact(monkeypatch):
+    # min ||u|| s.t. X u >= 1 is a least-distance problem: no phase-1 LP, no interior-point master
+    monkeypatch.setattr(conic, "_interior_point_socp", _forbid)
+    monkeypatch.setattr(conic, "_phase1_feasible", _forbid)
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    res = solve_min_sum_norms(MinSumNormsProblem.from_masks(X, np.ones((1, 3))), tol=1e-9)
+    assert abs(res.value - math.sqrt(2.0)) <= 1e-12
+    assert res.iterations == 0
+    assert res.gap <= 1e-9 * (1.0 + res.value)
+
+
+def test_msn_full_support_block_feasible_not_optimal(monkeypatch):
+    # the all-ones block needs |u| ~ 20; the two one-row blocks need 1 + 1/sqrt(1.01)
+    monkeypatch.setattr(conic, "_phase1_feasible", _forbid)
+    X = np.array([[1.0, 0.0], [-1.0, 0.1]])
+    res = solve_min_sum_norms(MinSumNormsProblem.from_masks(X, [[1, 1], [1, 0], [0, 1]]), tol=1e-9)
+    assert abs(res.value - (1.0 + 1.0 / math.sqrt(1.01))) <= 1e-9 * (1.0 + res.value)
+    assert res.iterations > 0
+
+
+def test_msn_full_support_block_infeasible_program_feasible(monkeypatch):
+    # u >= 1 and -u >= 1 together have no solution, so the phase-1 LP finds the working set
+    calls = []
+    phase1 = conic._phase1_feasible
+
+    def counted(prob):
+        calls.append(prob)
+        return phase1(prob)
+
+    monkeypatch.setattr(conic, "_phase1_feasible", counted)
+    X = np.array([[1.0], [-1.0]])
+    res = solve_min_sum_norms(MinSumNormsProblem.from_masks(X, [[1, 1], [1, 0], [0, 1]]), tol=1e-9)
+    assert abs(res.value - 2.0) <= 1e-9 * 3.0
+    assert len(calls) == 1
+
+
 def test_msn_infeasible_margin_raises():
     # duplicate point with opposite required signs
     X = np.array([[1.0], [1.0]])
@@ -141,6 +183,9 @@ def test_msn_infeasible_margin_raises():
     beta=st.floats(0.05, 2.0),
     cones=st.booleans(),
 )
+# one-block max-margin programs that are feasible (the generated examples hold none)
+@example(n=5, d=2, k=1, seed=3, loss_name="maxmargin", beta=1.0, cones=False)
+@example(n=8, d=3, k=1, seed=5, loss_name="maxmargin", beta=1.0, cones=False)
 def test_msn_certified_property(n, d, k, seed, loss_name, beta, cones):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
@@ -184,5 +229,11 @@ def test_msn_certified_property(n, d, k, seed, loss_name, beta, cones):
         assert np.linalg.norm(v) <= budget * (1.0 + 1e-9)
     assert res.value - res.dual_value <= tol * (1.0 + abs(res.value))
     if k == 1 and not cones and not loss.penalized:
-        value = _block_ortho(prob.row_weights[0][:, None] * X, loss, tol=1e-10)[0]
+        G = prob.row_weights[0][:, None] * X
+        value = _block_ortho(G, loss, tol=1e-10)[0]
+        assert abs(res.value - value) <= 1e-8 * (1 + value)
+        # an independent NNLS route to the same least-distance program
+        E = np.vstack([G.T, np.ones((1, n))])
+        mu = scipy.optimize.lsq_linear(E, np.eye(1, d + 1, d)[0], bounds=(0, np.inf), method="bvls").x
+        value = np.linalg.norm(G.T @ mu) / (1.0 - mu.sum())
         assert abs(res.value - value) <= 1e-8 * (1 + value)
