@@ -2,19 +2,21 @@
 
 All three kernels are deterministic and dependency-light (numpy plus
 scipy for LP/NNLS plumbing and dense linear algebra). The min-sum-of-norms
-solver is column generation: a second-order cone master over a working set
-of blocks, solved by a primal-dual interior-point method with
-Nesterov-Todd scaling, is priced against every block's dual constraint,
-and it stops on a *certified* duality gap of the full program: the primal
-blocks are scaled to exact feasibility and the master's multipliers into
-their constraint set, so the reported gap is a true bound however
-accurately the master was solved. A margin program without cone rows
-first tries one block coupled to every row, a least-distance problem
-solved exactly by Lawson and Hanson's NNLS; that block often certifies
-alone, and otherwise keeps every master feasible without the phase-1 LP.
-The semidefinite programs (the Max-Cut
-relaxation and the block surrogate dual) share one primal-dual
-interior-point loop; its callers certify what it returns.
+solver is column generation. A second-order cone master over a working
+set of blocks is solved by a primal-dual interior-point method with
+Nesterov-Todd scaling; each Newton step factors a square-root matrix that
+is upper triangular but for a few dense rows, by LAPACK's
+triangular-pentagonal QR. The master is priced against every block's dual
+constraint, and the solver stops on a *certified* duality gap of the full
+program: the primal blocks are scaled to exact feasibility and the
+master's multipliers into their constraint set, so the reported gap is a
+true bound however accurately the master was solved. A margin program
+without cone rows first tries one block coupled to every row, a
+least-distance problem solved exactly by Lawson and Hanson's NNLS; that
+block often certifies alone, and otherwise keeps every master feasible
+without the phase-1 LP. The semidefinite programs (the Max-Cut relaxation
+and the block surrogate dual) share one primal-dual interior-point loop;
+its callers certify what it returns.
 """
 
 from __future__ import annotations
@@ -278,28 +280,26 @@ def _phase1_feasible(prob: MinSumNormsProblem) -> Optional[np.ndarray]:
 
     Returns the blocks (k x d) of a feasible point, or None when there is none.
     """
-    X, RW = prob.X, prob.row_weights
+    X = prob.X
     n, d = X.shape
     k = prob.k
     nv = k * d + 1  # u blocks flattened + slack t
-    # margin rows: -sum_i a_i*(X u_i) - t <= -1
-    A_margin = scipy.sparse.hstack(
-        [scipy.sparse.csr_matrix(-RW[i][:, None] * X) for i in range(k)]
-        + [scipy.sparse.csr_matrix(-np.ones((n, 1)))],
-        format="csr",
-    )
-    mats = [A_margin]
-    rhs = [-np.ones(n)]
+    # margin rows j: -sum_i a_ij x_j' u_i - t <= -1, then with cones rows
+    # n + i n + j: -c_ij x_j' u_i <= 0; the zero coefficients are left out
+    V = -prob.row_weights[:, :, None] * X
+    i, j, col = np.nonzero(V)
+    rows, cols, vals = [j, np.arange(n)], [i * d + col, np.full(n, nv - 1)], [V[i, j, col], -np.ones(n)]
     if prob.cone_signs is not None:
-        blocks = scipy.sparse.block_diag(
-            [scipy.sparse.csr_matrix(-prob.cone_signs[i][:, None] * X) for i in range(k)],
-            format="csr",
-        )
-        pad = scipy.sparse.csr_matrix((blocks.shape[0], 1))
-        mats.append(scipy.sparse.hstack([blocks, pad], format="csr"))
-        rhs.append(np.zeros(blocks.shape[0]))
-    A_ub = scipy.sparse.vstack(mats, format="csr")
-    b_ub = np.concatenate(rhs)
+        V = -prob.cone_signs[:, :, None] * X
+        i, j, col = np.nonzero(V)
+        rows.append(n + i * n + j)
+        cols.append(i * d + col)
+        vals.append(V[i, j, col])
+    nrows = n if prob.cone_signs is None else n + k * n
+    A_ub = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(nrows, nv)
+    )
+    b_ub = np.concatenate([-np.ones(n), np.zeros(nrows - n)])
     c = np.zeros(nv)
     c[-1] = 1.0
     res = scipy.optimize.linprog(
@@ -537,6 +537,30 @@ SOCP_STALL = 1e-8  # below this error, stop after two steps without a new best
 SOCP_REFINE = 6  # refinement rounds at most, each while the residual halves
 
 
+def _normal_solver(T: np.ndarray, B: np.ndarray):
+    """r -> (T'T + B'B)^{-1} r, by a QR of [T; B] with unit columns and two triangular solves.
+
+    T is square and upper triangular, B dense. Raises ValueError when a
+    column of [T; B] is zero or holds a non-finite entry (then a column
+    scale is 0, inf or nan); the solve raises LinAlgError on an exactly
+    singular factor.
+    """
+    scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", T, T) + np.einsum("ij,ij->j", B, B))
+    if not np.all((scale > 0.0) & (scale < math.inf)):
+        raise ValueError("non-finite or zero column in the Newton matrix")
+    R = scipy.linalg.lapack.dtpqrt(0, min(8, len(scale)), T * scale, B * scale)[0]  # 8: block size
+
+    def solve(r):
+        y, info = scipy.linalg.lapack.dtrtrs(R, scale * r, trans=1)
+        if info == 0:
+            y, info = scipy.linalg.lapack.dtrtrs(R, y)
+        if info:
+            raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+        return scale * y
+
+    return solve
+
+
 @np.errstate(all="ignore")
 def _interior_point_socp(master):
     """Solve the master's min c'x s.t. A x - b in K by a primal-dual interior-point method.
@@ -545,12 +569,16 @@ def _interior_point_socp(master):
     1992). The start is the least-squares x and the least-norm z under the
     identity scaling, each shifted into the cone (Vandenberghe 2010). Each
     step solves the reduced Newton system H dx = A' W^{-2} bz - bx with
-    H = A' W^{-2} A = S'S, never forming H: ``master.scaled_rows`` gives S
-    (len(x) columns, about as many rows) and a dense QR of S with unit
-    columns gives the triangular factor, so the solve sees the condition
-    number of S, the square root of that of H. The solution is refined on
-    the full two-block system while the residual halves, at most
-    SOCP_REFINE times. The step goes 0.99 of the way to the boundary.
+    H = A' W^{-2} A = S'S, never forming H. ``master.scaled_rows`` gives
+    S = [T; B] in two parts: T, square (N = len(x)) and already upper
+    triangular, and B, the few dense rows (n margin rows, plus n + 2 for
+    the squared hinge). :func:`_normal_solver` factors [T; B] with unit
+    columns by LAPACK's triangular-pentagonal QR (dtpqrt) in O(n N^2)
+    flops, not the O(N^3) of a dense QR. It is the Householder QR of the
+    same matrix, so the solve still sees the condition number of S, the
+    square root of that of H. The solution is refined on the full
+    two-block system while the residual halves, at most SOCP_REFINE
+    times. The step goes 0.99 of the way to the boundary.
 
     The error is the worst of the relative gap and the relative primal and
     dual residuals. The loop stops when it falls below SOCP_TOL, after two
@@ -562,16 +590,8 @@ def _interior_point_socp(master):
     K = master.cones
     A, AT, c, b = master.A, master.AT, master.c, master.b
     e = K.identity()
-
-    def normal_solver(S):
-        """r -> (S'S)^{-1} r, by a QR of S with unit columns and two triangular solves."""
-        scale = 1.0 / np.linalg.norm(S, axis=0)
-        R = scipy.linalg.qr(S * scale, mode="r")[0][: S.shape[1]]
-        tri = scipy.linalg.solve_triangular
-        return lambda r: scale * tri(R, tri(R, scale * r, trans="T", check_finite=False), check_finite=False)
-
     eye = [np.broadcast_to(np.eye(dim), (count, dim, dim)) for count, dim in K.socs]
-    normal_solve = normal_solver(master.scaled_rows(np.ones(K.nl), eye))
+    normal_solve = _normal_solver(*master.scaled_rows(np.ones(K.nl), eye))
     x = normal_solve(AT(b))
     s = A(x) - b
     z = A(normal_solve(c))
@@ -594,7 +614,7 @@ def _interior_point_socp(master):
             break
         W, lam = K.nt_scaling(s, z)
         try:
-            normal_solve = normal_solver(master.scaled_rows(*K.winv(W)))
+            normal_solve = _normal_solver(*master.scaled_rows(*K.winv(W)))
         except ValueError:  # non-finite scaling
             break
 
@@ -715,12 +735,13 @@ class _Master:
         return out
 
     def scaled_rows(self, wl, winvs):
-        """A matrix S with S'S = A' W^{-2} A, from the orthant's sqrt(z/s) and the cones' W^{-1}.
+        """Factors (T, B) with T'T + B'B = A' W^{-2} A, from the orthant's sqrt(z/s) and the cones' W^{-1}.
 
-        Its rows are the scaled margin rows (n, dense), then one triangular
-        factor per block of its scaled cone rows stacked on W_i^{-1} (a
-        batched QR, d + 1 rows each), then the scaled xi rows and the
-        squared-hinge cone's rows.
+        T is the len(x) x len(x) upper-triangular part: per block the
+        triangular factor of its scaled cone rows stacked on W_i^{-1} (a
+        batched QR, d + 1 rows each), then the diagonal of the scaled xi
+        rows; the squared hinge's r has a zero row. B holds the dense rows:
+        the n scaled margin rows, then the squared-hinge cone's n + 2 rows.
         """
         n, m, nv, d = self.n, self.m, self.nv, self.d
         N = self.AR.shape[1]
@@ -731,16 +752,15 @@ class _Master:
             C[:, :, 1:] = (wl[o : o + m * n].reshape(m, n) * self.CS)[:, :, None] * self.X
             blocks = np.concatenate([C, blocks], axis=1)
             o += m * n
-        B = np.zeros((m, d + 1, N))
-        B[:, :, :nv].reshape(m, d + 1, m, d + 1)[np.arange(m), :, np.arange(m)] = np.linalg.qr(blocks, mode="r")
-        rows = [wl[:n, None] * self.AR, B.reshape(m * (d + 1), N)]
+        T = np.zeros((N, N))
+        T[:nv, :nv].reshape(m, d + 1, m, d + 1)[np.arange(m), :, np.arange(m)] = np.linalg.qr(blocks, mode="r")
         if self.nxi:
-            rows.append(np.zeros((n, N)))
-            rows[-1][:, nv : nv + n] = np.diag(wl[o:])
+            T[nv : nv + n, nv : nv + n] = np.diag(wl[o:])
+        B = wl[:n, None] * self.AR
         if self.sq:
-            rows.append(np.zeros((n + 2, N)))
-            rows[-1][:, nv:] = winvs[1][0] @ self.S
-        return np.vstack(rows)
+            B = np.vstack([B, np.zeros((n + 2, N))])
+            B[n:, nv:] = winvs[1][0] @ self.S
+        return T, B
 
 
 MSN_MAX_ROUNDS = 30

@@ -61,11 +61,10 @@ def _pattern_of(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _candidate_directions(Xr: np.ndarray, r: int, rng: np.random.Generator):
-    """Yield direction candidates whose cells cover the arrangement."""
+    """Yield blocks (rows) of direction candidates whose cells cover the arrangement."""
     n = Xr.shape[0]
     if r == 1:
-        yield np.array([1.0])
-        yield np.array([-1.0])
+        yield np.array([[1.0], [-1.0]])
         return
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=r - 1)))
     for subset in itertools.combinations(range(n), r - 1):
@@ -75,23 +74,35 @@ def _candidate_directions(Xr: np.ndarray, r: int, rng: np.random.Generator):
             continue  # rows dependent; some other subset pins this line
         w0 = vt[-1]
         pinv = vt[: r - 1].T @ np.diag(1.0 / s) @ u.T
-        a = Xr @ w0
+        a = np.abs(Xr @ w0)  # the same for t w0 on either side of the line
+        steps = []
+        for sg in signs:
+            p = pinv @ sg
+            bp = Xr @ p
+            away = a > 1e-12 * (1.0 + np.abs(bp))
+            if np.any(away):
+                eps = 0.5 * np.min(a[away] / (1.0 + np.abs(bp[away])))
+                eps = min(eps, 1.0)
+            else:
+                eps = 1.0
+            steps.append(eps * p)
         for t in (1.0, -1.0):
-            yield t * w0
-            at = t * a
-            for sg in signs:
-                p = pinv @ sg
-                bp = Xr @ p
-                away = np.abs(at) > 1e-12 * (1.0 + np.abs(bp))
-                if np.any(away):
-                    eps = 0.5 * np.min(np.abs(at[away]) / (1.0 + np.abs(bp[away])))
-                    eps = min(eps, 1.0)
-                else:
-                    eps = 1.0
-                yield t * w0 + eps * p
+            yield np.vstack([t * w0, t * w0 + np.array(steps)])
     # random top-up guards against cells adjacent only to degenerate rays
-    for w in rng.standard_normal((min(2000, 200 * r * n), r)):
-        yield w
+    yield rng.standard_normal((min(2000, 200 * r * n), r))
+
+
+def _stacked(blocks, rows: int):
+    """Stack consecutive blocks into arrays of at least ``rows`` rows (the last may have fewer)."""
+    batch, count = [], 0
+    for block in blocks:
+        batch.append(block)
+        count += len(block)
+        if count >= rows:
+            yield np.vstack(batch)
+            batch, count = [], 0
+    if batch:
+        yield np.vstack(batch)
 
 
 def enumerate_patterns(
@@ -108,6 +119,14 @@ def enumerate_patterns(
     sides in all sign combinations. Boundary masks are kept only when a
     float vector realizes them exactly; w = 0 always realizes the all-ones
     mask under the >= 0 tie convention.
+
+    The candidates are classified in batches, one product
+    P = (C basis') X' each (up to 8 MB of P), and the masks deduplicated
+    with ``np.unique``: the first strict candidate of a mask is kept, else
+    its first candidate. A candidate with a product near zero (within
+    twice the rounding bound) is redone alone as X @ (basis @ wr), and each
+    realizer is computed as basis @ wr, so the result is bit for bit that
+    of classifying the candidates one at a time.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
@@ -122,15 +141,33 @@ def enumerate_patterns(
         raise CapExceeded(f"arrangement sweep needs ~{work} candidates (cap {cap})")
 
     rng = np.random.default_rng(seed)
+    # Both the batched and the one-candidate route (X @ (basis @ wr)) compute
+    # x_i'w to within about (d + r^1.5) eps |x_i| |w|. An entry of P within
+    # twice that (with margin: 4 (d + r^2) eps, and at least 64 eps) may
+    # round to another sign, or to zero, one candidate at a time; such
+    # candidates are redone that way, so every mask and strict flag is the
+    # one-candidate result.
+    tie = max(64, 4 * (d + r * r)) * np.finfo(float).eps * np.linalg.norm(X, axis=1)
+    batch = max(1, 2**20 // n)  # candidates per product, so P stays within 8 MB
     seen: dict[bytes, tuple[np.ndarray, np.ndarray, bool]] = {}
-    for wr in _candidate_directions(Xr, r, rng):
-        w = basis @ wr
-        mask, strict = _pattern_of(X, w)  # full-space products: the stored pair must verify
-        key = mask.tobytes()
-        if key not in seen or (strict and not seen[key][2]):
-            seen[key] = (mask, w, strict)
-            if len(seen) > cap:
-                raise CapExceeded(f"more than {cap} patterns")
+    for C in _stacked(_candidate_directions(Xr, r, rng), batch):
+        W = C @ basis.T
+        P = W @ X.T
+        masks = (P >= 0.0).astype(np.int8)
+        strict = np.ones(len(C), dtype=bool)
+        for c in np.flatnonzero(np.any(np.abs(P) <= np.linalg.norm(W, axis=1)[:, None] * tie, axis=1)):
+            masks[c], strict[c] = _pattern_of(X, basis @ C[c])
+        # the first strict candidate of each mask, else its first candidate
+        order = np.argsort(~strict, kind="stable")
+        packed = np.packbits(masks[order], axis=1)  # one opaque item per row sorts fast
+        for c in order[np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_index=True)[1]]:
+            key = masks[c].tobytes()
+            if key not in seen or (strict[c] and not seen[key][2]):
+                seen[key] = (masks[c].copy(), C[c].copy(), bool(strict[c]))
+        if len(seen) > cap:
+            raise CapExceeded(f"more than {cap} patterns")
+    # realizers in full space, each as one product: the stored pair must verify
+    seen = {key: (mask, basis @ wr, strict) for key, (mask, wr, strict) in seen.items()}
     if include_boundary:
         w0 = np.zeros(d)
         mask, _ = _pattern_of(X, w0)  # all ones, exactly

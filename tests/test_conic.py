@@ -14,9 +14,10 @@ from reluapprox.conic import (
     project_polyhedral_cone,
     solve_min_sum_norms,
 )
-from reluapprox.dataset import LossModel
+from reluapprox.dataset import Dataset, LossModel
 from reluapprox.dual import _block_ortho
 from reluapprox.errors import Infeasible
+from reluapprox.oracle import _relu_problem, enumerate_patterns
 
 
 def grid_box_lsq(A, p, steps=51):
@@ -237,3 +238,104 @@ def test_msn_certified_property(n, d, k, seed, loss_name, beta, cones):
         mu = scipy.optimize.lsq_linear(E, np.eye(1, d + 1, d)[0], bounds=(0, np.inf), method="bvls").x
         value = np.linalg.norm(G.T @ mu) / (1.0 - mu.sum())
         assert abs(res.value - value) <= 1e-8 * (1 + value)
+
+
+# --- the interior-point master's Newton matrix -----------------------------
+
+
+def _random_master(seed, loss_name, cones):
+    rng = np.random.default_rng(seed)
+    n, d, k = 6, 3, 5
+    X = rng.standard_normal((n, d))
+    masks = rng.random((k, n)) < 0.5
+    masks[np.arange(k), rng.integers(n, size=k)] = True
+    loss = LossModel.by_name(loss_name, 0.7)
+    prob = MinSumNormsProblem(
+        X=X,
+        row_weights=rng.choice([-1.0, 1.0], size=n) * masks,
+        loss=loss,
+        mode="penalized" if loss.penalized else "margin",
+        cone_signs=2.0 * masks - 1.0 if cones else None,
+    )
+    master = conic._Master(prob, X, np.arange(k), 1.0 if prob.mode == "margin" else loss.beta)
+    # an interior pair (s, z): within 0.4 of twice the cone's identity
+    K = master.cones
+    dim = max([1] + [dim for _, dim in K.socs])
+    s, z = (2.0 * K.identity() + rng.uniform(-0.4, 0.4, K.identity().size) / math.sqrt(dim) for _ in range(2))
+    W, _ = K.nt_scaling(s, z)
+    return master, W, rng
+
+
+@pytest.mark.parametrize(
+    "loss_name, cones",
+    [("maxmargin", True), ("maxmargin", False), ("hinge", True), ("squared_hinge", True), ("squared_hinge", False)],
+)
+def test_normal_solve_matches_dense_qr(loss_name, cones):
+    for seed in range(4):
+        master, W, rng = _random_master(seed, loss_name, cones)
+        K = master.cones
+        T, B = master.scaled_rows(*K.winv(W))
+        N = T.shape[0]
+        assert T.shape == (N, N) and B.shape[1] == N
+        assert np.array_equal(T, np.triu(T))
+        assert B.shape[0] == master.n + (master.n + 2 if master.sq else 0)
+        if master.sq:
+            assert not T[-1].any()  # r has no triangular row; the epigraph rows in B carry it
+        # T'T + B'B is A' W^{-2} A, formed column by column from the operators
+        A = np.column_stack([master.A(col) for col in np.eye(N)])
+        WinvA = np.column_stack([K.wmul(W, col, True) for col in A.T])
+        H = WinvA.T @ WinvA
+        assert np.allclose(T.T @ T + B.T @ B, H, rtol=1e-12, atol=1e-12 * np.abs(H).max())
+        # the triangular-pentagonal solve against a dense QR of the stacked matrix
+        R = scipy.linalg.qr(np.vstack([T, B]), mode="r")[0][:N]
+        solve = conic._normal_solver(T, B)
+        for r in rng.standard_normal((3, N)):
+            ref = scipy.linalg.solve_triangular(R, scipy.linalg.solve_triangular(R, r, trans="T"))
+            assert np.linalg.norm(solve(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_normal_solver_rejects_nonfinite_and_zero_columns():
+    T = np.triu(np.ones((3, 3)))
+    B = np.ones((2, 3))
+    T0, B0 = T.copy(), B.copy()
+    T0[:, 1] = B0[:, 1] = 0.0
+    cases = [(T, np.where(np.eye(2, 3) > 0, np.nan, B)), (np.where(np.eye(3) > 0, np.inf, T), B), (T0, B0)]
+    for bad_T, bad_B in cases:
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            conic._normal_solver(bad_T, bad_B)
+
+
+# --- phase-1 LP -------------------------------------------------------------
+
+
+def test_phase1_feasible_point_meets_every_row():
+    rng = np.random.default_rng(11)
+    ran = 0
+    for _ in range(8):
+        n, d = int(rng.integers(3, 8)), int(rng.integers(1, 4))
+        X = rng.standard_normal((n, d))
+        # labels of a random ReLU network, so the program is feasible
+        f = np.maximum(X @ rng.standard_normal((d, 8)), 0.0) @ rng.choice([-1.0, 1.0], size=8)
+        if not np.all(f != 0.0):
+            continue
+        ran += 1
+        ds = Dataset(X, np.sign(f).astype(int))
+        prob = _relu_problem(ds, LossModel.max_margin(), enumerate_patterns(X, include_boundary=False))
+        U = conic._phase1_feasible(prob)
+        assert U is not None and U.shape == (prob.k, d)
+        P = U @ X.T
+        tol = 1e-6 * (1.0 + np.abs(U).max())
+        assert np.einsum("kn,kn->n", prob.row_weights, P).min() >= 1.0 - tol
+        assert (prob.cone_signs * P).min() >= -tol
+    assert ran >= 6
+
+
+def test_phase1_infeasible_returns_none():
+    # u >= 1 and -u >= 1 on the one block coupled to both rows
+    X = np.array([[1.0], [-1.0]])
+    assert conic._phase1_feasible(MinSumNormsProblem.from_masks(X, [[1, 1]])) is None
+    # a relu program whose two rows are one point with both labels
+    Xd = np.array([[1.0], [1.0]])
+    ds = Dataset(Xd, [1, -1])
+    prob = _relu_problem(ds, LossModel.max_margin(), enumerate_patterns(Xd, include_boundary=False))
+    assert conic._phase1_feasible(prob) is None

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reluapprox.dataset import Dataset, LossModel, generate_synthetic
 from reluapprox.errors import Unbounded
 from reluapprox.geometry import dual_constraint_maximin
 from reluapprox.oracle import (
+    _candidate_directions,
     enumerate_patterns,
     exact_dual,
     exact_primal,
@@ -45,6 +48,54 @@ def test_patterns_count_bound():
         pats = enumerate_patterns(X, include_boundary=False)
         bound = 2 * sum(math.comb(n - 1, k) for k in range(d))
         assert pats.strict_count <= bound
+
+
+def _patterns_one_by_one(X, include_boundary):
+    """enumerate_patterns as one product X @ (basis @ wr) per candidate, kept first-seen."""
+    n, d = X.shape
+    _, s, vt = np.linalg.svd(X, full_matrices=False)
+    r = int(np.sum(s > 1e-12 * s[0]))
+    basis = vt[:r].T
+    seen = {}
+    for block in _candidate_directions(X @ basis, r, np.random.default_rng(0)):
+        for wr in block:
+            w = basis @ wr
+            prods = X @ w
+            mask, strict = (prods >= 0.0).astype(np.int8), bool(np.all(prods != 0.0))
+            key = mask.tobytes()
+            if key not in seen or (strict and not seen[key][2]):
+                seen[key] = (mask, w, strict)
+    ones = np.ones(n, dtype=np.int8)
+    if include_boundary and ones.tobytes() not in seen:
+        seen[ones.tobytes()] = (ones, np.zeros(d), False)
+    entries = sorted(seen.values(), key=lambda e: (not e[2], tuple(e[0])))
+    masks = np.array([e[0] for e in entries], dtype=np.int8)
+    return masks, np.array([e[1] for e in entries]), sum(e[2] for e in entries)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 9),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "rounded", "antipodal"]),
+    include_boundary=st.booleans(),
+)
+def test_patterns_batched_match_one_by_one(n, d, seed, kind, include_boundary):
+    # the batched product must give every mask, realizer and strict flag bit for bit
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    if kind == "rounded":  # ties and repeated rows
+        X = np.round(X, 1)
+        X[0] += float(not X.any())
+    elif kind == "antipodal":  # rows opposite to others up to 1e-9
+        half = n // 2
+        X[half : 2 * half] = -X[:half] + 1e-9 * rng.standard_normal((half, d))
+    pats = enumerate_patterns(X, include_boundary=include_boundary)
+    masks, realizers, strict_count = _patterns_one_by_one(X, include_boundary)
+    assert pats.masks.dtype == masks.dtype and np.array_equal(pats.masks, masks)
+    assert pats.realizers.shape == realizers.shape and pats.realizers.tobytes() == realizers.tobytes()
+    assert pats.strict_count == strict_count
 
 
 def test_exact_primal_single_point():
