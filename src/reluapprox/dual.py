@@ -4,9 +4,11 @@ Orthogonal-separable data splits the dual into two closed-form-constraint
 cone programs solved exactly. Negative-correlation data replaces the
 binary-max constraint with its SDP upper bound c2; by SDP duality and a
 Schur complement, maximizing over c2(lam) <= r^2 is one semidefinite
-program per label block, solved by the interior-point method. Because c2
-dominates the true constraint, the returned vector is feasible for the
-true dual and its objective is within a sqrt(2/pi) factor of optimal.
+program per label block, solved by the interior-point method, whose own
+dual slack certifies the c2 bound and whose primal is the rounding
+matrix. Because c2 dominates the true constraint, the returned vector is
+feasible for the true dual and its objective is within a sqrt(2/pi)
+factor of optimal.
 General data runs the same machinery with asymmetric radii governed by
 the geometric ratio of the two zonotopes.
 """
@@ -19,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import SDP_GAP, MinSumNormsProblem, _interior_point_sdp, _least_distance, solve_min_sum_norms
+from .conic import MinSumNormsProblem, _interior_point_sdp, _least_distance, solve_min_sum_norms
 from .dataset import (
     NEGATIVE_CORRELATION,
     ORTHO_SEPARABLE,
@@ -29,7 +31,7 @@ from .dataset import (
 )
 from .errors import CertificateViolation, Infeasible, NonConvergence, WrongRegime, ZeroDenominator
 from .geometry import ENUM_CAP, dual_constraint_maximin, ortho_closed_form, zonotope_vertex_max
-from .maxcut import dual_quadratic, sdp_relaxation
+from .maxcut import _package, dual_quadratic
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -54,7 +56,8 @@ class DualCertificate:
     additive solver accuracy recorded in ``eps``: the block duality gaps
     for ortho, and for negcorr and geo a bound on each block's distance to
     its surrogate optimum (the interior-point gap, corrected for the
-    primal residual, plus the gain that the certified rescale gave up).
+    primal residual, plus the gain that scaling lam onto the certified
+    c2 bound gave up).
     """
 
     lam: np.ndarray
@@ -248,35 +251,27 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
     = V V', and by a Schur complement that holds iff [[Diag(zeta), V],
     [V', I]] >= 0. So the block is the single SDP of :func:`_block_sdp`,
     solved by the shared interior-point loop from a strictly feasible point.
-    Its lam is scaled in by the check's own gap target, then checked by a
-    certified :func:`sdp_relaxation` and scaled down (c2 is degree-2
-    homogeneous in lam) until the certified bound is at most radius^2; at
-    most three rescales are tried. ``eps`` bounds the block's distance to
-    the surrogate optimum: the final interior-point gap tr(XZ), plus
-    (|y| + B) |A(X) - b| for the primal residual with B an a priori bound
-    on the optimal |y|, plus the gain the scaling gave up.
+    Its returned zeta certifies 4 c2(lam) <= 1'zeta once shifted by the
+    least eigenvalue of Diag(zeta) - Q(lam), and its primal's (nb+1) block,
+    normalized to unit diagonal, is the rounding matrix ``Z``: the packaging
+    of :func:`maxcut.sdp_relaxation`. A certified bound above radius^2
+    scales lam once by sqrt(radius^2 / bound); c2 is degree-2 homogeneous,
+    so the scaled zeta certifies radius^2. ``eps`` bounds the block's
+    distance to the surrogate optimum: the final interior-point gap tr(XZ),
+    plus (|y| + B) |A(X) - b| for the primal residual with B an a priori
+    bound on the optimal |y|, plus the gain the scaling gave up.
     """
     nb = X_block.shape[0]
     if nb == 0:
         return 0.0, np.zeros(0), {"iterations": 0, "eps": 0.0}
     C, A, b, y0 = _block_sdp(X_block, loss, radius)
-    primal, y, slack, steps, _ = _interior_point_sdp(C, A, b, y0)
-    solved = float(np.sum(loss.g(y[:nb])))
+    primal, y, slack, steps, met = _interior_point_sdp(C, A, b, y0)
+    lam = y[:nb]
+    solved = float(np.sum(loss.g(lam)))
+    sol = _package(dual_quadratic(X_block, lam), primal[: nb + 1, : nb + 1], y[nb : 2 * nb + 1], steps, met)
+    hi = 0.25 * sol.upper
     r2 = radius**2
-    # y[:nb] > 0 (and < 1 for hinge) has c2 below r2 by about the solve's gap;
-    # the certified bound may exceed c2 by up to SDP_GAP max(1, 4 r2), so
-    # lam starts scaled in by twice that
-    lam = y[:nb] * math.sqrt(max(0.0, 1.0 - 2.0 * SDP_GAP * max(1.0, 4.0 * r2) / (4.0 * r2)))
-    # the SDP solution of the accepted check goes on to rounding
-    for rescales in range(4):
-        sol = sdp_relaxation(dual_quadratic(X_block, lam))
-        hi = 0.25 * sol.upper
-        if hi <= r2:
-            break
-        if rescales == 3:
-            raise NonConvergence(
-                f"certified surrogate bound {hi:.6g} still above radius^2 = {r2:.6g} after 3 rescales"
-            )
+    if hi > r2:
         lam = lam * math.sqrt(r2 / hi)
     value = float(np.sum(loss.g(lam)))
     # for the optimal y*, b'y - b'y* <= tr(XZ) - y'r + |y*| |r| with r = A(X) - b
@@ -288,7 +283,7 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
     residual = float(np.linalg.norm(np.einsum("ijk,jk->i", A, primal) - b))
     gap = float(np.sum(primal * slack)) + (float(np.linalg.norm(y)) + y_bound) * residual
     eps = gap + max(solved - value, 0.0)
-    return value, lam, {"iterations": steps, "eps": eps, "sdp": sol}
+    return value, lam, {"iterations": steps, "eps": eps, "Z": sol.Z}
 
 
 def solve_dual_negcorr(

@@ -202,12 +202,12 @@ def default_sample_count(n_block: int, eps0: float, delta: float) -> int:
     return int(math.ceil(0.5 * eps0**-2 * math.log((n_block + 1) ** 2 / delta)))
 
 
-def _round_block_masks(X_block, lam_block, sdp, k, guard, rng):
+def _round_block_masks(X_block, lam_block, Z, k, guard, rng):
     """Draw k Gaussian rounding samples and realize them as gate patterns.
 
     Draws the LP cannot realize, and zero gates, are dropped.
     """
-    L = psd_factor(sdp.Z)
+    L = psd_factor(Z)
     draws = rng.standard_normal((k, L.shape[0])) @ L.T
     _, masks, gates, method = realize_patterns(X_block, draws, lam_block, guard_rows=guard)
     ok = (method == "algebraic") | (method == "lp")
@@ -279,12 +279,11 @@ def solve_primal_negcorr(
             continue
         k = k_override or default_sample_count(nb, eps0, delta / 2.0)
         ks.append(k)
-        sdp = info["sdp"]
         guard_rows = guard if guard.shape[0] else None
         masks, gates = np.empty((0, nb)), np.empty((0, ds.d))
         k_round = k
         for _ in range(MAX_ROUNDS):
-            m_new, g_new = _round_block_masks(Xb, lam_b, sdp, k_round, guard_rows, rng)
+            m_new, g_new = _round_block_masks(Xb, lam_b, info["Z"], k_round, guard_rows, rng)
             masks, gates = np.vstack([masks, m_new]), np.vstack([gates, g_new])
             # distinct nonzero masks, in order of first occurrence
             keep = np.sort(np.unique(masks, axis=0, return_index=True)[1])

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,12 +18,13 @@ from reluapprox.dual import (
 from reluapprox.errors import (
     CertificateViolation,
     Infeasible,
-    NonConvergence,
     WrongRegime,
     ZeroDenominator,
 )
 from reluapprox.geometry import dual_constraint_maximin
+from reluapprox.maxcut import dual_quadratic, psd_factor, sdp_relaxation
 from reluapprox.oracle import exact_dual
+from reluapprox.primal import certify, solve_primal_negcorr
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -76,13 +79,65 @@ def test_negcorr_two_point_line_exact():
     assert check_dual_feasibility(ds, cert.lam).feasible
 
 
-def test_negcorr_rescale_still_above_radius_raises(monkeypatch):
-    # the certified surrogate bound stays above radius^2 through every
-    # rescale, so the block has no certified point to return
-    ds = Dataset([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], [1, 1, -1])
-    monkeypatch.setattr(dual, "sdp_relaxation", lambda Q: SimpleNamespace(upper=16.0))
-    with pytest.raises(NonConvergence, match="still above"):
-        solve_dual_negcorr(ds)
+def test_negcorr_solves_no_maxcut_sdp(monkeypatch):
+    # each block certifies c2 from its own SDP's dual slack and rounds from
+    # its primal, so the negcorr pipeline never solves a Max-Cut relaxation
+    def refuse(Q):
+        raise AssertionError("sdp_relaxation reached from the negcorr pipeline")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "reluapprox" and hasattr(module, "sdp_relaxation"):
+            monkeypatch.setattr(module, "sdp_relaxation", refuse)
+    ds = generate_synthetic("negative_correlation", 8, 3, seed=2)
+    res = solve_primal_negcorr(ds, seed=0)
+    assert certify(res.p, res.lower, res.dual.rho).accepted
+    assert check_dual_feasibility(ds, res.dual.lam).feasible
+
+
+@pytest.mark.parametrize("loss", [LossModel.max_margin(), LossModel.hinge(0.5)], ids=lambda l: l.name)
+def test_negcorr_forced_scale_stays_certified(monkeypatch, loss):
+    # a certified bound reported at 4x forces the one scale, lam -> lam / 2
+    # where the budget is tight; the scaled lam stays feasible and eps takes
+    # up the gain the scale gave up, so it still bounds the distance to D
+    ds = generate_synthetic("orthogonal_separable", 8, 3, seed=1)
+    D = solve_dual_ortho(ds, loss).objective
+    base = solve_dual_negcorr(ds, loss)
+    package = dual._package
+
+    def inflated(*args):
+        sol = package(*args)
+        return dataclasses.replace(sol, upper=4.0 * sol.upper)
+
+    monkeypatch.setattr(dual, "_package", inflated)
+    cert = solve_dual_negcorr(ds, loss)
+    assert cert.objective <= 0.5 * base.objective * (1 + 1e-6)
+    assert check_dual_feasibility(ds, cert.lam).feasible
+    given_up = base.objective - cert.objective
+    assert abs((cert.eps - base.eps) - given_up) <= 1e-9 * (1 + D)
+    assert 0.0 <= D - cert.objective <= cert.eps + 1e-12 * (1 + D)
+
+
+@pytest.mark.parametrize("kind", ["negative_correlation", "general"])
+@pytest.mark.parametrize(
+    "loss", [LossModel.max_margin(), LossModel.hinge(0.7), LossModel.squared_hinge(0.7)], ids=lambda l: l.name
+)
+def test_block_negcorr_vs_maxcut_sdp_oracle(kind, loss):
+    # an independent Max-Cut SDP solve at the returned lam must certify the
+    # block's c2 bound by the rule of _checked_constraint, and the rounding
+    # matrix handed to the primal must be a unit-diagonal PSD matrix
+    r = 1.0 if loss.name == "maxmargin" else loss.beta
+    for seed in range(2):
+        ds = generate_synthetic(kind, 8, 3, seed=seed)
+        for Xb in (ds.X_plus, ds.X_minus):
+            for radius in (r, 0.3 * r):
+                _, lam, info = dual._block_negcorr(Xb, loss, radius)
+                upper = sdp_relaxation(dual_quadratic(Xb, lam)).upper
+                assert 0.25 * upper <= radius**2 * (1.0 + 1e-8)
+                Z = info["Z"]
+                assert Z.shape == (len(lam) + 1, len(lam) + 1)
+                assert np.abs(np.diag(Z) - 1.0).max() <= 1e-12
+                L = psd_factor(Z)
+                assert np.abs(L @ L.T - Z).max() <= 1e-6
 
 
 def test_negcorr_constraint_above_radius_raises(monkeypatch):

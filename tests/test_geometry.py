@@ -95,8 +95,14 @@ def test_hausdorff_vs_grid_oracle():
         mesh = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), -1).reshape(-1, 3)
         Pp = mesh @ Ap.T
         Pm = mesh @ Am.T
-        d2 = np.linalg.norm(Pp[:, None, :] - Pm[None, :, :], axis=2)
-        grid_val = max(d2.min(axis=1).max(), d2.min(axis=0).max())
+        # the distance matrix in row chunks of Pp, to bound memory; min and
+        # max are exact, so grid_val does not depend on the chunk size
+        row_max, col_min, chunk = 0.0, np.inf, 512
+        for start in range(0, len(Pp), chunk):
+            d2 = np.linalg.norm(Pp[start : start + chunk, None, :] - Pm[None, :, :], axis=2)
+            row_max = max(row_max, d2.min(axis=1).max())
+            col_min = np.minimum(col_min, d2.min(axis=0))
+        grid_val = max(row_max, col_min.max())
         # the grid's inner min overestimates the true min, so the grid value
         # sits just above the exact Hausdorff distance
         assert val <= grid_val + 1e-9
