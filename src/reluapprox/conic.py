@@ -1,9 +1,10 @@
 """Solver kernels: box least squares, min-sum-of-norms programs, small SDPs.
 
-All three kernels are deterministic and dependency-light (numpy plus
-scipy for LP/NNLS plumbing and dense linear algebra). The min-sum-of-norms
-solver is column generation. A second-order cone master over a working
-set of blocks is solved by a primal-dual interior-point method with
+All three kernels are deterministic and need only numpy and scipy
+(scipy for the phase-1 LP and LAPACK routines). The box least squares is
+the finite bounded-variable method of Stark and Parker, batched over the
+target points of one generator matrix. The min-sum-of-norms solver is
+column generation. A second-order cone master over a working set of blocks is solved by a primal-dual interior-point method with
 Nesterov-Todd scaling; each Newton step factors a square-root matrix that
 is upper triangular but for a few dense rows, by LAPACK's
 triangular-pentagonal QR. The master is priced against every block's dual
@@ -34,7 +35,6 @@ from .dataset import LossModel
 from .errors import Infeasible, NonConvergence
 
 __all__ = [
-    "box_constrained_least_squares",
     "box_lsq_batch",
     "project_polyhedral_cone",
     "MinSumNormsProblem",
@@ -48,81 +48,68 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def box_lsq_batch(
-    A: np.ndarray,
-    targets: np.ndarray,
-    lower: float = 0.0,
-    upper: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ||A b - p||_2 over the box for every row p of ``targets``.
+def box_lsq_batch(A: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ||A b - p||_2 over b in [0, 1]^m for every row p of ``targets``.
 
-    Projected gradient with the exact (Cauchy) step for the quadratic,
-    followed by an active-set polish that solves the free subsystem by
-    least squares. Returns (B, residuals) with one row of B per target.
+    Bounded-variable least squares (Stark and Parker, Comput. Stat. 10,
+    1995), run on all rows at once. Each row starts at b = 0 with no free
+    variable. An outer step frees the bound variable of steepest descent;
+    the inner loop solves least squares over the free set with the bound
+    variables held, and a solution that leaves the box steps to the first
+    bound it hits and fixes the variables that hit it. Rows that share a
+    free set share one pseudo-inverse. The method is finite; a KKT
+    residual left above 1000 times its tolerance raises NonConvergence.
+    Returns (B, distances) with one row of B per target.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     P = np.atleast_2d(np.asarray(targets, dtype=float))
-    N, d = P.shape[0], A.shape[0]
-    m = A.shape[1]
+    N, m = P.shape[0], A.shape[1]
     if m == 0:
         return np.zeros((N, 0)), np.linalg.norm(P, axis=1)
     G = A.T @ A
     Atp = P @ A  # N x m
-    B = np.clip(Atp @ np.linalg.pinv(G, rcond=1e-12), lower, upper)
-
-    scale = 1.0 + np.abs(Atp).max(initial=0.0) + np.abs(G).max(initial=0.0)
-
-    def kkt_residual(Bsub, Atpsub):
-        grad = Bsub @ G - Atpsub
-        return np.linalg.norm(Bsub - np.clip(Bsub - grad, lower, upper), axis=1)
-
-    active = np.arange(N)
-    for _ in range(max_iter):
-        grad = B[active] @ G - Atp[active]
-        step_num = np.einsum("ij,ij->i", grad, grad)
-        step_den = np.einsum("ij,jk,ik->i", grad, G, grad)
-        t = np.where(step_den > 0, step_num / np.maximum(step_den, 1e-300), 1.0)
-        Bn = np.clip(B[active] - t[:, None] * grad, lower, upper)
-        B[active] = Bn
-        res = kkt_residual(B[active], Atp[active])
-        still = res > tol * scale
-        active = active[still]
-        if active.size == 0:
+    scale = np.abs(Atp).max(initial=0.0) + np.abs(G).max(initial=0.0)
+    B = np.zeros((N, m))
+    free = np.zeros((N, m), dtype=bool)
+    rows = np.arange(N)
+    for _ in range(3 * m + 10):
+        W = Atp[rows] - B[rows] @ G
+        W = np.where(free[rows], -np.inf, np.where(B[rows] == 1.0, -W, W))
+        j = np.argmax(W, axis=1)
+        keep = W[np.arange(rows.size), j] > 1e-10 * scale
+        rows, j = rows[keep], j[keep]
+        if rows.size == 0:
             break
+        free[rows, j] = True
+        todo = rows
+        for _ in range(m + 1):
+            Bt = B[todo]
+            Z = Bt.copy()
+            masks, group, counts = np.unique(free[todo], axis=0, return_inverse=True, return_counts=True)
+            order = np.split(np.argsort(group.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+            for cols, idx in zip(masks, order):
+                R = P[todo[idx]] - Bt[idx] @ (A * ~cols).T
+                Z[np.ix_(idx, np.flatnonzero(cols))] = R @ np.linalg.pinv(A[:, cols], rcond=1e-12).T
+            low, high = Z < 0.0, Z > 1.0
+            out = (low | high).any(axis=1)
+            B[todo[~out]] = Z[~out]
+            todo, Bt, Z, low, high = todo[out], Bt[out], Z[out], low[out], high[out]
+            if todo.size == 0:
+                break
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(low, Bt / (Bt - Z), np.where(high, (1.0 - Bt) / (Z - Bt), np.inf))
+            alpha = step.min(axis=1, keepdims=True)
+            Bt += alpha * (Z - Bt)
+            hit = step <= alpha
+            Bt[hit] = high[hit]  # exactly 1 at the upper bound, 0 at the lower
+            B[todo] = Bt
+            free[todo] &= ~hit
 
-    # Ill-conditioned rows zig-zag under projected gradient; finish those
-    # off with the exact bounded-variable least-squares active-set method.
-    res = kkt_residual(B, Atp)
-    for i in np.flatnonzero(res > tol * scale):
-        sol = scipy.optimize.lsq_linear(A, P[i], bounds=(lower, upper), method="bvls")
-        if sol.success or sol.cost <= 0.5 * np.linalg.norm(B[i] @ A.T - P[i]) ** 2:
-            B[i] = np.clip(sol.x, lower, upper)
-
-    res = kkt_residual(B, Atp)
-    if np.any(res > 1000 * tol * scale):
-        raise NonConvergence(
-            f"box least squares stalled: max KKT residual {res.max():.3e}"
-        )
-    dist = np.linalg.norm(B @ A.T - P, axis=1)
-    return B, dist
-
-
-def box_constrained_least_squares(
-    A: np.ndarray,
-    p: np.ndarray,
-    lower: float = 0.0,
-    upper: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 20000,
-) -> tuple[np.ndarray, float]:
-    """Single right-hand-side wrapper around :func:`box_lsq_batch`.
-
-    Returns (b, residual) where b minimizes ||A b - p|| over the box.
-    """
-    B, dist = box_lsq_batch(A, np.asarray(p, float)[None, :], lower, upper, tol, max_iter)
-    return B[0], float(dist[0])
+    grad = B @ G - Atp
+    res = np.linalg.norm(B - np.clip(B - grad, 0.0, 1.0), axis=1)
+    if not np.all(res <= 1000 * 1e-10 * (1.0 + scale)):
+        raise NonConvergence(f"box least squares stalled: max KKT residual {res.max():.3e}")
+    return B, np.linalg.norm(B @ A.T - P, axis=1)
 
 
 def _nnls_small(B: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -86,15 +86,13 @@ class FeasibilityReport:
     feasible: bool
 
 
-def check_dual_feasibility(
-    ds: Dataset, lam: np.ndarray, bound: float = 1.0, cap: int = ENUM_CAP
-) -> FeasibilityReport:
+def check_dual_feasibility(ds: Dataset, lam: np.ndarray, bound: float = 1.0) -> FeasibilityReport:
     """Exact dual-constraint value and sign-condition violations."""
     lam = np.asarray(lam, dtype=float)
     signed = ds.y * lam
     sign_violation = float(max(0.0, -(signed.min(initial=0.0))))
     clipped = ds.y * np.maximum(signed, 0.0)
-    report = dual_constraint_maximin(ds, clipped, cap=cap)
+    report = dual_constraint_maximin(ds, clipped)
     value = report.value
     feasible = sign_violation <= 1e-10 and value <= bound * (1.0 + 1e-8)
     return FeasibilityReport(
@@ -327,13 +325,13 @@ def solve_dual_negcorr(
     )
 
 
-def geometric_ratio(ds: Dataset, lam_star: np.ndarray, cap: int = ENUM_CAP) -> GeoRatio:
+def geometric_ratio(ds: Dataset, lam_star: np.ndarray) -> GeoRatio:
     """c* = vertex max of the positive dual zonotope over the negative one."""
     lam_p, lam_m = ds.split_dual(lam_star)
     if ds.n_minus == 0:
         raise ZeroDenominator("no negative-label samples")
-    num, _ = zonotope_vertex_max(ds.X_plus.T * lam_p[None, :], cap=cap)
-    den, _ = zonotope_vertex_max(ds.X_minus.T * lam_m[None, :], cap=cap)
+    num, _ = zonotope_vertex_max(ds.X_plus.T * lam_p[None, :])
+    den, _ = zonotope_vertex_max(ds.X_minus.T * lam_m[None, :])
     if den <= 0.0:
         raise ZeroDenominator("negative-block vertex maximum is zero")
     return GeoRatio(c_star=num / den, numerator=num, denominator=den)

@@ -3,8 +3,9 @@
 A zonotope is the image of the unit box under its generator matrix,
 {A b : b in [0,1]^m}. The dual constraint of the margin problem equals the
 Hausdorff distance between two dual-weighted zonotopes; at desk scale both
-one-sided distances are exact because the outer maximum of a convex
-function over the box is attained at a 0/1 vertex.
+one-sided distances are exact: the outer maximum of a convex function
+over the box is attained at a 0/1 vertex, and the inner distance is a
+finite bounded-variable least squares.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .conic import box_constrained_least_squares, box_lsq_batch
+from .conic import box_lsq_batch
 from .dataset import Dataset
 from .errors import SignViolation, TooLarge
 
@@ -64,22 +65,26 @@ class MaximinReport:
         return max(self.forward, self.backward)
 
 
-def binary_vertices(m: int, chunk: int = 1 << 14) -> Iterator[np.ndarray]:
-    """Yield the 2^m vertices of the unit box in blocks of float rows."""
-    total = 1 << m
+def binary_vertices(m: int) -> Iterator[np.ndarray]:
+    """Yield the 2^m vertices of the unit box in blocks of 2^14 float rows."""
+    total, chunk = 1 << m, 1 << 14
     ar = np.arange(m, dtype=np.uint64)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
         yield ((idx[:, None] >> ar[None, :]) & 1).astype(float)
 
 
-def project_onto_zonotope(A: np.ndarray, p: np.ndarray, tol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Distance from p to the zonotope of A, with the minimizing box point."""
-    b, dist = box_constrained_least_squares(np.atleast_2d(A), np.asarray(p, float), tol=tol)
-    return float(dist), b
+def project_onto_zonotope(A: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray]:
+    """Distance from p to the zonotope of A, with the minimizing box point.
+
+    One row of :func:`box_lsq_batch`, the exact bounded-variable least
+    squares over the unit box.
+    """
+    B, dist = box_lsq_batch(A, np.asarray(p, float)[None, :])
+    return float(dist[0]), B[0]
 
 
-def zonotope_vertex_max(A: np.ndarray, cap: int = ENUM_CAP) -> tuple[float, np.ndarray]:
+def zonotope_vertex_max(A: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximize ||A b||_2 over b in {0,1}^m by exact vertex enumeration.
 
     This equals the maximum over the whole box [0,1]^m because a convex
@@ -87,8 +92,8 @@ def zonotope_vertex_max(A: np.ndarray, cap: int = ENUM_CAP) -> tuple[float, np.n
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     m = A.shape[1]
-    if m > cap:
-        raise TooLarge(f"{m} generators exceed the enumeration cap {cap}")
+    if m > ENUM_CAP:
+        raise TooLarge(f"{m} generators exceed the enumeration cap {ENUM_CAP}")
     if m == 0:
         return 0.0, np.zeros(0)
     best_val, best_b = -1.0, None
@@ -101,11 +106,11 @@ def zonotope_vertex_max(A: np.ndarray, cap: int = ENUM_CAP) -> tuple[float, np.n
     return best_val, best_b
 
 
-def _one_sided(A_from: np.ndarray, A_to: np.ndarray, cap: int) -> tuple[float, np.ndarray]:
+def _one_sided(A_from: np.ndarray, A_to: np.ndarray) -> tuple[float, np.ndarray]:
     """max over vertices v of Z(A_from) of dist(v, Z(A_to))."""
     m = A_from.shape[1]
-    if m > cap:
-        raise TooLarge(f"{m} generators exceed the enumeration cap {cap}")
+    if m > ENUM_CAP:
+        raise TooLarge(f"{m} generators exceed the enumeration cap {ENUM_CAP}")
     if m == 0:
         verts = [np.zeros((1, m))]
     else:
@@ -121,11 +126,11 @@ def _one_sided(A_from: np.ndarray, A_to: np.ndarray, cap: int) -> tuple[float, n
     return best_val, best_b
 
 
-def hausdorff_distance(Kp: Zonotope, Km: Zonotope, cap: int = ENUM_CAP) -> tuple[float, MaximinReport]:
+def hausdorff_distance(Kp: Zonotope, Km: Zonotope) -> tuple[float, MaximinReport]:
     """Exact Hausdorff distance between two zonotopes at desk scale."""
     Ap, Am = Kp.generators, Km.generators
-    fwd, b_fwd = _one_sided(Ap, Am, cap)
-    bwd, b_bwd = _one_sided(Am, Ap, cap)
+    fwd, b_fwd = _one_sided(Ap, Am)
+    bwd, b_bwd = _one_sided(Am, Ap)
     if fwd >= bwd:
         report = MaximinReport(forward=fwd, backward=bwd, b_star=b_fwd, side="forward")
     else:
@@ -133,19 +138,17 @@ def hausdorff_distance(Kp: Zonotope, Km: Zonotope, cap: int = ENUM_CAP) -> tuple
     return report.value, report
 
 
-def dual_constraint_maximin(
-    ds: Dataset, lam: np.ndarray, cap: int = ENUM_CAP, sign_tol: float = 1e-10
-) -> MaximinReport:
+def dual_constraint_maximin(ds: Dataset, lam: np.ndarray) -> MaximinReport:
     """Evaluate the dual margin constraint exactly via the two maximin problems.
 
-    Requires the sign condition diag(y) lam >= 0. The negative-label block
-    is stored as the nonnegative vector {-lam_i}, so both zonotopes carry
-    nonnegative weights; ``max(forward, backward)`` is the exact value of
-    the constraint max_{|u|<=1} |lam' (X u)_+|.
+    Requires the sign condition diag(y) lam >= 0, to within 1e-10. The
+    negative-label block is stored as the nonnegative vector {-lam_i}, so
+    both zonotopes carry nonnegative weights; ``max(forward, backward)`` is
+    the exact value of the constraint max_{|u|<=1} |lam' (X u)_+|.
     """
     lam = np.asarray(lam, dtype=float)
     signed = ds.y * lam
-    if signed.min(initial=0.0) < -sign_tol:
+    if signed.min(initial=0.0) < -1e-10:
         j = int(np.argmin(signed))
         raise SignViolation(f"(diag(y) lam)[{j}] = {signed[j]:.3e} < 0")
     lam_p, lam_m = ds.split_dual(lam)
@@ -153,7 +156,7 @@ def dual_constraint_maximin(
     lam_m = np.maximum(lam_m, 0.0)
     Kp = Zonotope(ds.X_plus.T * lam_p[None, :])
     Km = Zonotope(ds.X_minus.T * lam_m[None, :])
-    return hausdorff_distance(Kp, Km, cap)[1]
+    return hausdorff_distance(Kp, Km)[1]
 
 
 def ortho_closed_form(ds: Dataset, lam: np.ndarray, tol: float = 0.0) -> tuple[float, float]:

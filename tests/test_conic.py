@@ -9,63 +9,58 @@ from hypothesis import strategies as st
 from reluapprox import conic
 from reluapprox.conic import (
     MinSumNormsProblem,
-    box_constrained_least_squares,
     box_lsq_batch,
     project_polyhedral_cone,
     solve_min_sum_norms,
 )
 from reluapprox.dataset import Dataset, LossModel
 from reluapprox.dual import _block_ortho
-from reluapprox.errors import Infeasible
+from reluapprox.errors import Infeasible, NonConvergence
+from reluapprox.geometry import binary_vertices
 from reluapprox.oracle import _relu_problem, enumerate_patterns
 
 
-def grid_box_lsq(A, p, steps=51):
-    """Brute-force oracle: dense grid over the box."""
-    m = A.shape[1]
-    axes = [np.linspace(0.0, 1.0, steps)] * m
-    best = math.inf
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    vals = np.linalg.norm(mesh @ A.T - p, axis=1)
-    return float(vals.min())
+def _box_lsq_cases(rng):
+    """Generator matrices with parallel, antiparallel, zero and dependent
+    columns and a 1e-4 scale, each with targets: the vertices of another
+    zonotope (as the maximin builds them) and a few random points."""
+    for kind in ("random", "parallel", "antiparallel", "zero", "dependent", "scaled") * 6:
+        d, m = int(rng.integers(1, 6)), int(rng.integers(1, 13))
+        A = rng.standard_normal((d, m))
+        if kind == "parallel" and m > 1:
+            A[:, 1] = rng.random() * A[:, 0]
+        if kind == "antiparallel" and m > 1:
+            A[:, 1] = -rng.random() * A[:, 0]
+        if kind == "zero":
+            A[:, rng.integers(m)] = 0.0
+        if kind == "dependent" and m > 2:
+            A[:, 2] = A[:, 0] - 0.5 * A[:, 1]
+        s = 1e-4 if kind == "scaled" else 1.0
+        k = int(rng.integers(1, 5))
+        V = next(binary_vertices(k)) @ (2.0 * rng.standard_normal((d, k))).T
+        yield s * A, s * np.vstack([V, 3.0 * rng.standard_normal((4, d))])
 
 
-def test_bcls_clamps_to_corner():
-    b, dist = box_constrained_least_squares(np.eye(2), np.array([2.0, 2.0]))
-    assert np.allclose(b, [1.0, 1.0])
-    assert abs(dist - math.sqrt(2)) < 1e-12
+def test_box_lsq_batch_matches_scipy_bvls():
+    rng = np.random.default_rng(12)
+    for A, P in _box_lsq_cases(rng):
+        B, dist = box_lsq_batch(A, P)
+        assert B.min(initial=0.0) >= 0.0 and B.max(initial=1.0) <= 1.0
+        # scipy's BVLS stops on absolute tolerances, so it solves the
+        # problem rescaled to unit size; the minimizer is unchanged
+        for p, dv in zip(P, dist):
+            s = max(np.abs(A).max(), np.abs(p).max()) or 1.0
+            b = scipy.optimize.lsq_linear(A / s, p / s, bounds=(0, 1), method="bvls").x
+            ref = float(np.linalg.norm(A @ b - p))
+            assert abs(dv - ref) <= 1e-12 * (1.0 + ref)
 
 
-def test_bcls_interior_point():
-    b, dist = box_constrained_least_squares(np.eye(2), np.array([0.3, 0.7]))
-    assert np.allclose(b, [0.3, 0.7])
-    assert dist < 1e-12
-
-
-def test_bcls_matches_grid_oracle():
-    A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    p = np.array([3.0, 0.0])
-    _, dist = box_constrained_least_squares(A, p)
-    assert abs(dist - grid_box_lsq(A, p)) < 1e-3
-
-
-def test_bcls_random_vs_grid():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        A = rng.standard_normal((2, 2))
-        p = rng.standard_normal(2) * 2
-        _, dist = box_constrained_least_squares(A, p)
-        assert dist <= grid_box_lsq(A, p) + 1e-3
-
-
-def test_bcls_batch_consistent():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((3, 4))
-    P = rng.standard_normal((6, 3))
-    B, dists = box_lsq_batch(A, P)
-    for i in range(6):
-        _, d1 = box_constrained_least_squares(A, P[i])
-        assert abs(d1 - dists[i]) < 1e-9
+def test_box_lsq_batch_raises_typed_error(monkeypatch):
+    # a pseudo-inverse of zeros never reaches a KKT point
+    monkeypatch.setattr(np.linalg, "pinv", lambda M, rcond=None: np.zeros(M.shape[::-1]))
+    A = np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(NonConvergence):
+        box_lsq_batch(A, np.array([[0.5, 0.5], [2.0, 1.0]]))
 
 
 def test_cone_projection_against_sampling():

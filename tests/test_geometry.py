@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from reluapprox.dataset import Dataset, generate_synthetic
 from reluapprox.errors import SignViolation, TooLarge, WrongRegime
@@ -29,13 +30,19 @@ def test_project_interior():
 
 
 def test_project_vs_grid():
+    grid = np.linspace(0, 1, 51)
+    mesh = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     p = np.array([3.0, 0.0])
     dist, _ = project_onto_zonotope(A, p)
-    grid = np.linspace(0, 1, 51)
-    mesh = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
     want = np.linalg.norm(mesh @ A.T - p, axis=1).min()
     assert abs(dist - want) < 1e-3
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        A = rng.standard_normal((2, 2))
+        p = rng.standard_normal(2) * 2
+        dist, _ = project_onto_zonotope(A, p)
+        assert dist <= np.linalg.norm(mesh @ A.T - p, axis=1).min() + 1e-3
 
 
 def test_vertex_max_single_generator():
@@ -95,14 +102,8 @@ def test_hausdorff_vs_grid_oracle():
         mesh = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), -1).reshape(-1, 3)
         Pp = mesh @ Ap.T
         Pm = mesh @ Am.T
-        # the distance matrix in row chunks of Pp, to bound memory; min and
-        # max are exact, so grid_val does not depend on the chunk size
-        row_max, col_min, chunk = 0.0, np.inf, 512
-        for start in range(0, len(Pp), chunk):
-            d2 = np.linalg.norm(Pp[start : start + chunk, None, :] - Pm[None, :, :], axis=2)
-            row_max = max(row_max, d2.min(axis=1).max())
-            col_min = np.minimum(col_min, d2.min(axis=0))
-        grid_val = max(row_max, col_min.max())
+        # exact nearest grid neighbours, both ways, by k-d tree
+        grid_val = max(cKDTree(Pm).query(Pp)[0].max(), cKDTree(Pp).query(Pm)[0].max())
         # the grid's inner min overestimates the true min, so the grid value
         # sits just above the exact Hausdorff distance
         assert val <= grid_val + 1e-9
