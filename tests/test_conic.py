@@ -41,6 +41,17 @@ def _box_lsq_cases(rng):
         yield s * A, s * np.vstack([V, 3.0 * rng.standard_normal((4, d))])
 
 
+def test_bcls_random_vs_grid():
+    grid = np.linspace(0.0, 1.0, 51)
+    mesh = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        A = rng.standard_normal((2, 2))
+        p = rng.standard_normal(2) * 2
+        _, dist = box_lsq_batch(A, p[None, :])
+        assert dist[0] <= np.linalg.norm(mesh @ A.T - p, axis=1).min() + 1e-3
+
+
 def test_box_lsq_batch_matches_scipy_bvls():
     rng = np.random.default_rng(12)
     for A, P in _box_lsq_cases(rng):
