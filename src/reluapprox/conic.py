@@ -403,8 +403,8 @@ def _certify(prob, U, lam_raw, beta_norm):
 
 # The master program is a second-order cone program min c'x s.t. A x - b in K,
 # K a product of a nonnegative orthant and second-order cones. Vectors in K's
-# space are flat; _ConeProduct splits them into the orthant part and one
-# (count, dim) array per group of equal-sized cones, whose rows are the cones.
+# space are flat: the orthant part first, then each group of equal-sized
+# cones as one slice, viewed as a (count, dim) array whose rows are the cones.
 
 
 def _soc_det(x):
@@ -413,20 +413,16 @@ def _soc_det(x):
     return (x[:, 0] - r) * (x[:, 0] + r)
 
 
-def _soc_prod(x, y):
-    """Jordan product x o y = (x'y, x0 y1 + y0 x1) per row."""
-    out = np.empty_like(x)
+def _soc_prod(x, y, out):
+    """Jordan product x o y = (x'y, x0 y1 + y0 x1) per row, written into ``out``."""
     out[:, 0] = np.einsum("ij,ij->i", x, y)
     out[:, 1:] = x[:, :1] * y[:, 1:] + y[:, :1] * x[:, 1:]
-    return out
 
 
-def _soc_div(lam, r):
-    """The u with lam o u = r per row."""
-    u = np.empty_like(r)
-    u[:, 0] = (lam[:, 0] * r[:, 0] - np.einsum("ij,ij->i", lam[:, 1:], r[:, 1:])) / _soc_det(lam)
-    u[:, 1:] = (r[:, 1:] - u[:, :1] * lam[:, 1:]) / lam[:, :1]
-    return u
+def _soc_div(lam, r, out):
+    """The u with lam o u = r per row, written into ``out``."""
+    out[:, 0] = (lam[:, 0] * r[:, 0] - np.einsum("ij,ij->i", lam[:, 1:], r[:, 1:])) / _soc_det(lam)
+    out[:, 1:] = (r[:, 1:] - out[:, :1] * lam[:, 1:]) / lam[:, :1]
 
 
 def _soc_step(x, dx):
@@ -442,39 +438,56 @@ def _soc_step(x, dx):
 
 
 class _ConeProduct:
-    """The cone R^nl_+ x Q^{d_1} x ..., with ``socs`` a list of (count, dim) groups."""
+    """The cone R^nl_+ x Q^{d_1} x ..., with ``socs`` a list of (count, dim) groups.
+
+    ``groups`` holds each group's slice of the flat vectors and its
+    (count, dim) shape; the operators fill one output by slice.
+    """
 
     def __init__(self, nl: int, socs: list):
         self.nl = nl
         self.socs = socs
         self.degree = nl + sum(count for count, _ in socs)
+        self.groups, o = [], nl
+        for count, dim in socs:
+            self.groups.append((slice(o, o + count * dim), (count, dim)))
+            o += count * dim
 
     def split(self, v):
-        parts, o = [v[: self.nl]], self.nl
-        for count, dim in self.socs:
-            parts.append(v[o : o + count * dim].reshape(count, dim))
-            o += count * dim
-        return parts
-
-    def join(self, parts):
-        return np.concatenate([parts[0]] + [p.ravel() for p in parts[1:]])
+        """The orthant part of v, then a (count, dim) view of each group."""
+        return [v[: self.nl]] + [v[sl].reshape(shape) for sl, shape in self.groups]
 
     def identity(self):
-        return self.join([np.ones(self.nl)] + [np.eye(1, dim).repeat(count, 0) for count, dim in self.socs])
+        return np.concatenate([np.ones(self.nl)] + [np.eye(1, dim).repeat(count, 0).ravel() for count, dim in self.socs])
 
     def prod(self, x, y):
-        xs, ys = self.split(x), self.split(y)
-        return self.join([xs[0] * ys[0]] + [_soc_prod(a, b) for a, b in zip(xs[1:], ys[1:])])
+        out = np.empty_like(x)
+        out[: self.nl] = x[: self.nl] * y[: self.nl]
+        for sl, shape in self.groups:
+            _soc_prod(x[sl].reshape(shape), y[sl].reshape(shape), out[sl].reshape(shape))
+        return out
 
     def div(self, lam, r):
-        ls, rs = self.split(lam), self.split(r)
-        return self.join([rs[0] / ls[0]] + [_soc_div(a, b) for a, b in zip(ls[1:], rs[1:])])
+        out = np.empty_like(r)
+        out[: self.nl] = r[: self.nl] / lam[: self.nl]
+        for sl, shape in self.groups:
+            _soc_div(lam[sl].reshape(shape), r[sl].reshape(shape), out[sl].reshape(shape))
+        return out
 
-    def step(self, x, dx):
-        xs, ds = self.split(x), self.split(dx)
-        lp = np.where(ds[0] < 0, -xs[0] / ds[0], math.inf)
-        cones = [_soc_step(a, b).min(initial=math.inf) for a, b in zip(xs[1:], ds[1:])]
-        return min([lp.min(initial=math.inf)] + cones)
+    def steps(self, s, ds, z, dz):
+        """The largest a_s with s + a_s ds in the cone and a_z with z + a_z dz (s, z interior).
+
+        Both pairs go through one stacked computation; each cone's step is
+        found row by row, so the two come out as computed one at a time.
+        """
+        x, dx = np.stack([s, z]), np.stack([ds, dz])
+        nl, inf = self.nl, math.inf
+        lp = np.where(dx[:, :nl] < 0, -x[:, :nl] / dx[:, :nl], inf).min(axis=1, initial=inf)
+        cones = [
+            _soc_step(x[:, sl].reshape(-1, dim), dx[:, sl].reshape(-1, dim)).reshape(2, count).min(axis=1, initial=inf)
+            for sl, (count, dim) in self.groups
+        ]
+        return tuple(min([float(lp[i])] + [float(c[i]) for c in cones]) for i in range(2))
 
     def min_eig(self, x):
         xs = self.split(x)
@@ -490,8 +503,10 @@ class _ConeProduct:
         arrays.
         """
         ss, zs = self.split(s), self.split(z)
-        mats, lam = [], [np.sqrt(ss[0] * zs[0])]
-        for sq, zq in zip(ss[1:], zs[1:]):
+        lam = np.empty_like(z)
+        lam[: self.nl] = np.sqrt(ss[0] * zs[0])
+        mats = []
+        for (sl, _), sq, zq in zip(self.groups, ss[1:], zs[1:]):
             J = np.where(np.arange(sq.shape[1]) == 0, 1.0, -1.0)
             sd, zd = np.sqrt(_soc_det(sq)), np.sqrt(_soc_det(zq))
             sb, zb = sq / sd[:, None], zq / zd[:, None]
@@ -503,14 +518,27 @@ class _ConeProduct:
             W = beta * (2.0 * v[:, :, None] * v[:, None, :] - np.diag(J))
             Winv = (2.0 * (v * J)[:, :, None] * (v * J)[:, None, :] - np.diag(J)) / beta
             mats.append((W, Winv))
-            lam.append(np.matmul(W, zq[:, :, None])[:, :, 0])
-        return (np.sqrt(ss[0] / zs[0]), mats), self.join(lam)
+            lam[sl] = np.matmul(W, zq[:, :, None]).ravel()
+        return (np.sqrt(ss[0] / zs[0]), mats), lam
 
-    def wmul(self, W, x, inv=False):
+    def wmul(self, W, x, inv=False, times=1):
+        """W x, or W^{-1} x with ``inv``; with ``times=2`` the product is applied twice.
+
+        A power of W is never formed: it loses the accuracy that the
+        certification of the master's solution needs.
+        """
         wl, mats = W
-        xs = self.split(x)
-        cones = [np.matmul(Winv if inv else Wm, q[:, :, None])[:, :, 0] for (Wm, Winv), q in zip(mats, xs[1:])]
-        return self.join([xs[0] / wl if inv else xs[0] * wl] + cones)
+        out = np.empty_like(x)
+        q = x[: self.nl]
+        for _ in range(times):
+            q = q / wl if inv else q * wl
+        out[: self.nl] = q
+        for (sl, (count, dim)), (Wm, Winv) in zip(self.groups, mats):
+            q = x[sl].reshape(count, dim, 1)
+            for _ in range(times):
+                q = np.matmul(Winv if inv else Wm, q)
+            out[sl] = q.ravel()
+        return out
 
     def winv(self, W):
         """The diagonal sqrt(z/s) of the orthant and the (count, dim, dim) W^{-1} of each group."""
@@ -586,13 +614,13 @@ def _interior_point_socp(master):
         shift = -K.min_eig(v)
         if shift >= -1e-8 * (1.0 + np.abs(v).max()):
             v += (1.0 + max(shift, 0.0)) * e
-    nb, nc = 1.0 + np.linalg.norm(b), 1.0 + np.linalg.norm(c)
+    nb, nc = 1.0 + math.sqrt(b @ b), 1.0 + math.sqrt(c @ c)
     best, stale = None, 0
     for steps in range(SOCP_MAX_STEPS + 1):
         rp = A(x) - b - s
         rd = AT(z) - c
         gap = float(s @ z)
-        err = max(gap / (1.0 + abs(float(c @ x))), np.linalg.norm(rp) / nb, np.linalg.norm(rd) / nc)
+        err = max(gap / (1.0 + abs(float(c @ x))), math.sqrt(rp @ rp) / nb, math.sqrt(rd @ rd) / nc)
         if best is None or err < best[0]:
             best, stale = (err, x, s, z), 0
         else:
@@ -605,37 +633,34 @@ def _interior_point_socp(master):
         except ValueError:  # non-finite scaling
             break
 
-        def winv2(v):
-            return K.wmul(W, K.wmul(W, v, True), True)
-
         def solve_once(bx, bz):
             # A' dz = bx and A dx + W'W dz = bz
-            dx = normal_solve(AT(winv2(bz)) - bx)
-            return dx, winv2(bz - A(dx))
+            dx = normal_solve(AT(K.wmul(W, bz, inv=True, times=2)) - bx)
+            return dx, K.wmul(W, bz - A(dx), inv=True, times=2)
 
-        def direction(rs):
-            # the Newton step with lam o (W dz + W^{-T} ds) = rs - lam o lam;
-            # q = lam \ rs - lam, since lam \ (lam o lam) = lam loses all
-            # precision on a cone near its boundary when computed
-            q = K.div(lam, rs) - lam
+        def direction(q):
+            # the Newton step with lam o (W dz + W^{-T} ds) = rs - lam o lam,
+            # given q = lam \ rs - lam, since lam \ (lam o lam) = lam loses
+            # all precision on a cone near its boundary when computed
             bx, bz = -rd, K.wmul(W, q) - rp
             dx, dz = solve_once(bx, bz)
             last = math.inf
             for _ in range(SOCP_REFINE):
-                ex, ez = bx - AT(dz), bz - A(dx) - K.wmul(W, K.wmul(W, dz))
-                size = np.linalg.norm(ex) + np.linalg.norm(ez)
+                ex, ez = bx - AT(dz), bz - A(dx) - K.wmul(W, dz, times=2)
+                size = math.sqrt(ex @ ex) + math.sqrt(ez @ ez)
                 if not size < 0.5 * last:
                     break
                 cx, cz = solve_once(ex, ez)
                 dx, dz, last = dx + cx, dz + cz, size
             return dx, K.wmul(W, q - K.wmul(W, dz)), dz
 
-        dx, ds, dz = direction(np.zeros_like(lam))
-        a = min(1.0, K.step(s, ds), K.step(z, dz))
+        dx, ds, dz = direction(-lam)  # the affine step: rs = 0
+        a = min(1.0, *K.steps(s, ds, z, dz))
         sigma = min(1.0, max(0.0, float((s + a * ds) @ (z + a * dz)) / gap)) ** 3
         corr = K.prod(K.wmul(W, ds, True), K.wmul(W, dz))
-        dx, ds, dz = direction(sigma * gap / K.degree * e - corr)
-        a = min(1.0, 0.99 * K.step(s, ds), 0.99 * K.step(z, dz))
+        dx, ds, dz = direction(K.div(lam, sigma * gap / K.degree * e - corr) - lam)
+        a_s, a_z = K.steps(s, ds, z, dz)
+        a = min(1.0, 0.99 * a_s, 0.99 * a_z)
         if not (np.isfinite(a) and np.all(np.isfinite(dx)) and np.all(np.isfinite(dz))):
             break
         x, s, z = x + a * dx, s + a * ds, z + a * dz
@@ -696,15 +721,20 @@ class _Master:
             self.S[2:, :n] = 2.0 * np.eye(n)
 
     def A(self, x):
-        V = x[: self.nv].reshape(self.m, self.d + 1)
-        xi = x[self.nv : self.nv + self.nxi]
-        parts = [self.AR @ x]
+        n, m, nv = self.n, self.m, self.nv
+        out = np.empty(self.b.size)
+        out[:n] = self.AR @ x
+        o = n
         if self.CS is not None:
-            parts.append((self.CS * (V[:, 1:] @ self.X.T)).ravel())
-        parts += [xi, x[: self.nv]]
+            V = x[:nv].reshape(m, self.d + 1)
+            out[o : o + m * n] = (self.CS * (V[:, 1:] @ self.X.T)).ravel()
+            o += m * n
+        out[o : o + self.nxi] = x[nv : nv + self.nxi]
+        o += self.nxi
+        out[o : o + nv] = x[:nv]
         if self.sq:
-            parts.append(self.S @ x[self.nv :])
-        return np.concatenate(parts)
+            out[o + nv :] = self.S @ x[nv:]
+        return out
 
     def AT(self, z):
         n, m, nv = self.n, self.m, self.nv

@@ -264,12 +264,14 @@ def _random_master(seed, loss_name, cones):
         cone_signs=2.0 * masks - 1.0 if cones else None,
     )
     master = conic._Master(prob, X, np.arange(k), 1.0 if prob.mode == "margin" else loss.beta)
-    # an interior pair (s, z): within 0.4 of twice the cone's identity
-    K = master.cones
-    dim = max([1] + [dim for _, dim in K.socs])
-    s, z = (2.0 * K.identity() + rng.uniform(-0.4, 0.4, K.identity().size) / math.sqrt(dim) for _ in range(2))
-    W, _ = K.nt_scaling(s, z)
+    W, _ = master.cones.nt_scaling(_interior(master.cones, rng), _interior(master.cones, rng))
     return master, W, rng
+
+
+def _interior(K, rng):
+    """A point of the cone's interior, within 0.4 of twice its identity."""
+    dim = max([1] + [dim for _, dim in K.socs])
+    return 2.0 * K.identity() + rng.uniform(-0.4, 0.4, K.identity().size) / math.sqrt(dim)
 
 
 @pytest.mark.parametrize(
@@ -298,6 +300,92 @@ def test_normal_solve_matches_dense_qr(loss_name, cones):
         for r in rng.standard_normal((3, N)):
             ref = scipy.linalg.solve_triangular(R, scipy.linalg.solve_triangular(R, r, trans="T"))
             assert np.linalg.norm(solve(r) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+# The cone operators as they were first written: split a flat vector into its
+# orthant part and one (count, dim) array per cone group, apply the formula
+# per group, and join the parts. The bound operators must give the same bits.
+
+
+def _split(K, v):
+    parts, o = [v[: K.nl]], K.nl
+    for count, dim in K.socs:
+        parts.append(v[o : o + count * dim].reshape(count, dim))
+        o += count * dim
+    return parts
+
+
+def _join(parts):
+    return np.concatenate([parts[0]] + [p.ravel() for p in parts[1:]])
+
+
+def _ref_wmul(K, W, x, inv=False):
+    wl, mats = W
+    xs = _split(K, x)
+    cones = [np.matmul(Winv if inv else Wm, q[:, :, None])[:, :, 0] for (Wm, Winv), q in zip(mats, xs[1:])]
+    return _join([xs[0] / wl if inv else xs[0] * wl] + cones)
+
+
+def _ref_prod(K, x, y):
+    parts = [_split(K, x)[0] * _split(K, y)[0]]
+    for a, b in zip(_split(K, x)[1:], _split(K, y)[1:]):
+        out = np.empty_like(a)
+        out[:, 0] = np.einsum("ij,ij->i", a, b)
+        out[:, 1:] = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
+        parts.append(out)
+    return _join(parts)
+
+
+def _ref_div(K, lam, r):
+    parts = [_split(K, r)[0] / _split(K, lam)[0]]
+    for a, b in zip(_split(K, lam)[1:], _split(K, r)[1:]):
+        u = np.empty_like(b)
+        u[:, 0] = (a[:, 0] * b[:, 0] - np.einsum("ij,ij->i", a[:, 1:], b[:, 1:])) / conic._soc_det(a)
+        u[:, 1:] = (b[:, 1:] - u[:, :1] * a[:, 1:]) / a[:, :1]
+        parts.append(u)
+    return _join(parts)
+
+
+def _ref_step(K, x, dx):
+    xs, ds = _split(K, x), _split(K, dx)
+    lp = np.where(ds[0] < 0, -xs[0] / ds[0], math.inf)
+    cones = [conic._soc_step(a, b).min(initial=math.inf) for a, b in zip(xs[1:], ds[1:])]
+    return min([lp.min(initial=math.inf)] + cones)
+
+
+def _ref_A(master, x):
+    V = x[: master.nv].reshape(master.m, master.d + 1)
+    parts = [master.AR @ x]
+    if master.CS is not None:
+        parts.append((master.CS * (V[:, 1:] @ master.X.T)).ravel())
+    parts += [x[master.nv : master.nv + master.nxi], x[: master.nv]]
+    if master.sq:
+        parts.append(master.S @ x[master.nv :])
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize(
+    "loss_name, cones",
+    [("maxmargin", True), ("maxmargin", False), ("hinge", True), ("squared_hinge", True), ("squared_hinge", False)],
+)
+def test_cone_operators_match_split_join(loss_name, cones):
+    for seed in range(4):
+        master, W, rng = _random_master(seed, loss_name, cones)
+        K = master.cones
+        size = K.identity().size
+        for _ in range(3):
+            v, r = rng.standard_normal((2, size))
+            for inv in (False, True):
+                assert np.array_equal(K.wmul(W, v, inv=inv), _ref_wmul(K, W, v, inv))
+                twice = _ref_wmul(K, W, _ref_wmul(K, W, v, inv), inv)
+                assert np.array_equal(K.wmul(W, v, inv=inv, times=2), twice)
+            lam = _interior(K, rng)
+            assert np.array_equal(K.prod(v, r), _ref_prod(K, v, r))
+            assert np.array_equal(K.div(lam, r), _ref_div(K, lam, r))
+            s, z = lam, _interior(K, rng)
+            assert K.steps(s, v, z, r) == (_ref_step(K, s, v), _ref_step(K, z, r))
+            x = rng.standard_normal(master.c.size)
+            assert np.array_equal(master.A(x), _ref_A(master, x))
 
 
 def test_normal_solver_rejects_nonfinite_and_zero_columns():
