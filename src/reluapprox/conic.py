@@ -4,12 +4,15 @@ All three kernels are deterministic and need only numpy and scipy
 (scipy for the phase-1 LP and LAPACK routines). The box least squares is
 the finite bounded-variable method of Stark and Parker, batched over the
 target points of one generator matrix. The min-sum-of-norms solver is
-column generation. A second-order cone master over a working set of blocks is solved by a primal-dual interior-point method with
-Nesterov-Todd scaling; each Newton step factors a square-root matrix that
-is upper triangular but for a few dense rows, by LAPACK's
-triangular-pentagonal QR. The master is priced against every block's dual
-constraint, and the solver stops on a *certified* duality gap of the full
-program: the primal blocks are scaled to exact feasibility and the
+column generation. A second-order cone master over a working set of blocks
+is solved by a primal-dual interior-point method with Nesterov-Todd
+scaling; each Newton step factors a square-root matrix that is upper
+triangular but for a few dense rows, by LAPACK's triangular-pentagonal QR,
+and applies the cone operators slice by slice on flat vectors. The master
+is priced against every block's dual constraint, evaluated exactly for all
+blocks at once (with cone rows, by one batched NNLS projection onto the
+blocks' cones), and the solver stops on a *certified* duality gap of the
+full program: the primal blocks are scaled to exact feasibility and the
 master's multipliers into their constraint set, so the reported gap is a
 true bound however accurately the master was solved. A margin program
 without cone rows first tries one block coupled to every row, a
@@ -192,6 +195,68 @@ def project_polyhedral_cone(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return v + rows.T @ mu
 
 
+def _project_cones(V: np.ndarray, signs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Project every row v_i of V onto its cone {u : signs_i * (X u) >= 0}, in one batch.
+
+    The batched :func:`project_polyhedral_cone`. Rows that pass their cone
+    check are returned as they are. For the others, by Moreau, v_i - proj_i
+    is the projection onto the polar cone: the NNLS min ||B_i mu + v_i|| over
+    mu >= 0, with generators B_i = (diag(signs_i) X)'. All of them run one
+    Lawson-Hanson loop with :func:`_nnls_small`'s rules and bounds; each
+    inner step solves every problem's least squares over its active columns
+    by one pseudo-inverse of the column-masked stack. A KKT residual left
+    above 1000 times its tolerance raises NonConvergence.
+    """
+    todo = np.flatnonzero(~np.all(signs * (V @ X.T) >= 0.0, axis=1))
+    n, tol = X.shape[0], 1e-12
+    B = signs[todo][:, None, :] * X.T  # (t, d, n)
+    y = -V[todo]
+    scale = 1.0 + np.abs(X).max() * (1.0 + np.abs(y).max(axis=1))
+    mu = np.zeros((todo.size, n))
+    active = np.zeros((todo.size, n), dtype=bool)
+    resid = y.copy()
+    rows = np.arange(todo.size)
+    for _ in range(3 * n + 10):
+        w = np.einsum("tdn,td->tn", B[rows], resid[rows])
+        w[active[rows]] = -np.inf
+        j = np.argmax(w, axis=1)
+        keep = w[np.arange(rows.size), j] > tol * scale[rows]
+        rows, j = rows[keep], j[keep]
+        if rows.size == 0:
+            break
+        active[rows, j] = True
+        inner = rows
+        for _ in range(n + 1):
+            act = active[inner]
+            sol = np.linalg.pinv(B[inner] * act[:, None, :], rcond=1e-12) @ y[inner][:, :, None]
+            sol = np.where(act, sol[:, :, 0], 0.0)
+            neg = act & (sol <= 0.0)
+            done = ~neg.any(axis=1)
+            mu[inner[done]] = sol[done]
+            inner, act, sol, neg = inner[~done], act[~done], sol[~done], neg[~done]
+            if inner.size == 0:
+                break
+            # step toward the new solution until a variable hits zero
+            cur = mu[inner]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alpha = np.where(neg, cur / (cur - sol), np.inf).min(axis=1, keepdims=True)
+            cur = np.where(act, cur + alpha * (sol - cur), 0.0)
+            drop = act & (cur <= tol)
+            none = np.flatnonzero(~drop.any(axis=1))
+            drop[none, np.argmin(np.where(act[none], cur[none], np.inf), axis=1)] = True
+            cur[drop] = 0.0
+            mu[inner] = cur
+            active[inner] = act & ~drop
+        resid[rows] = y[rows] - np.einsum("tdn,tn->td", B[rows], mu[rows])
+    w = np.einsum("tdn,td->tn", B, y - np.einsum("tdn,tn->td", B, mu))
+    res = np.linalg.norm(mu - np.maximum(mu + w, 0.0), axis=1)
+    if not np.all(res <= 1000 * tol * scale):
+        raise NonConvergence(f"cone projection stalled: max KKT residual {res.max():.3e}")
+    P = V.copy()
+    P[todo] += np.einsum("tdn,tn->td", B, mu)
+    return P
+
+
 # ---------------------------------------------------------------------------
 # min-sum-of-norms cone programs
 # ---------------------------------------------------------------------------
@@ -305,51 +370,36 @@ CONE_FEAS_RTOL = 1e-11
 
 
 def _repair_cones(prob: MinSumNormsProblem, U: np.ndarray) -> np.ndarray:
-    """Project the blocks of U onto their feasibility cones.
+    """Project the blocks of U onto their feasibility cones, in one batch.
 
     Violations at roundoff scale (relative to the block) are left alone;
-    the certification treats them as feasible.
+    the certification treats them as feasible. A projection is kept only
+    when it meets the same relative tolerance.
     """
     if prob.cone_signs is None:
         return U
-    X = prob.X
-    row_scale = 1.0 + np.linalg.norm(X, axis=1).max()
+    X, CS = prob.X, prob.cone_signs
     U = U.copy()
-    vals = prob.cone_signs * (U @ X.T)
-    for i in range(prob.k):
-        scale = row_scale * (1.0 + np.linalg.norm(U[i]))
-        if vals[i].min() < -CONE_FEAS_RTOL * scale:
-            rows = prob.cone_signs[i][:, None] * X
-            u = project_polyhedral_cone(U[i], rows)
-            if (rows @ u).min() >= -CONE_FEAS_RTOL * scale:
-                U[i] = u
+    scale = (1.0 + np.linalg.norm(X, axis=1).max()) * (1.0 + np.linalg.norm(U, axis=1))
+    bad = np.flatnonzero((CS * (U @ X.T)).min(axis=1) < -CONE_FEAS_RTOL * scale)
+    if bad.size:
+        P = _project_cones(U[bad], CS[bad], X)
+        ok = (CS[bad] * (P @ X.T)).min(axis=1) >= -CONE_FEAS_RTOL * scale[bad]
+        U[bad[ok]] = P[ok]
     return U
 
 
-def _dual_block_values(
-    prob: MinSumNormsProblem, lam: np.ndarray, floor: float = 0.0
-) -> np.ndarray:
+def _dual_block_values(prob: MinSumNormsProblem, lam: np.ndarray) -> np.ndarray:
     """Per-block dual constraint values theta_i = sup_{u in K_i, |u|<=1} lam' F_i u.
 
-    Without cones these are ||F_i' lam||; with cones they need the
-    projection onto each cone, computed in decreasing order of the
-    unprojected norm so that blocks which cannot change the maximum are
-    skipped. With ``floor`` set, blocks whose unprojected norm stays below
-    it are never projected (the caller only cares about values above the
-    floor, e.g. a dual budget).
+    Without cones these are ||F_i' lam||; with cones, the norm of the
+    projection of F_i' lam onto the block's cone, every block's exactly, by
+    one batched projection (:func:`_project_cones`).
     """
-    X = prob.X
-    V = (prob.row_weights * lam[None, :]) @ X  # k x d, rows F_i' lam
-    theta = np.linalg.norm(V, axis=1)
+    V = (prob.row_weights * lam[None, :]) @ prob.X  # k x d, rows F_i' lam
     if prob.cone_signs is not None:
-        tmax = floor
-        for i in np.argsort(-theta):
-            if theta[i] <= tmax:  # projection never increases the norm
-                continue
-            rows = prob.cone_signs[i][:, None] * X
-            theta[i] = np.linalg.norm(project_polyhedral_cone(V[i], rows))
-            tmax = max(tmax, theta[i])
-    return theta
+        V = _project_cones(V, prob.cone_signs, prob.X)
+    return np.linalg.norm(V, axis=1)
 
 
 def _cone_violation(prob, U) -> float:
@@ -365,9 +415,10 @@ def _cone_violation(prob, U) -> float:
 def _certify(prob, U, lam_raw, beta_norm):
     """Return (primal value, dual value, feasible U, feasible lam, theta).
 
-    ``theta`` holds the :func:`_dual_block_values` at lam_raw clipped to
-    [0, box_upper], before the scaling into the dual constraint; it is None
-    when a cone violation ends the penalized certification first.
+    ``theta`` holds every block's exact :func:`_dual_block_values` at
+    lam_raw clipped to [0, box_upper], before the scaling into the dual
+    constraint; it is None when a cone violation ends the penalized
+    certification first.
     """
     X, RW = prob.X, prob.row_weights
     loss = prob.loss
@@ -458,7 +509,8 @@ class _ConeProduct:
         return [v[: self.nl]] + [v[sl].reshape(shape) for sl, shape in self.groups]
 
     def identity(self):
-        return np.concatenate([np.ones(self.nl)] + [np.eye(1, dim).repeat(count, 0).ravel() for count, dim in self.socs])
+        cones = [np.eye(1, dim).repeat(count, 0).ravel() for count, dim in self.socs]
+        return np.concatenate([np.ones(self.nl)] + cones)
 
     def prod(self, x, y):
         out = np.empty_like(x)
@@ -805,9 +857,10 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     (:func:`_certify`: the blocks scaled to feasibility, lam scaled into
     every block's dual constraint) and stops once the relative gap is
     within ``tol``. Otherwise pricing adds the (up to 8) blocks whose dual
-    constraint value at lam, as the certification computed it, is largest
-    above the budget. No violated block left, or MSN_MAX_ROUNDS rounds,
-    raise :class:`NonConvergence` with the best certified gap.
+    constraint value at lam, exact for every block as the certification
+    computed it, is largest above the budget. No violated block left, or
+    MSN_MAX_ROUNDS rounds, raise :class:`NonConvergence` with the best
+    certified gap.
     ``iterations`` counts the interior-point steps summed over the rounds.
     """
     X = prob.X
@@ -858,7 +911,7 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
             return MinSumNormsResult(pval, U_feas, lam_feas, pval - dval, steps, dval)
         best = min(best, rel)
         if theta is None:
-            theta = _dual_block_values(prob, lam, floor=beta_norm)
+            theta = _dual_block_values(prob, lam)
         theta[W] = 0.0
         new = np.argsort(-theta, kind="stable")[:MSN_PRICE]
         new = new[theta[new] > beta_norm]

@@ -91,6 +91,51 @@ def test_cone_projection_against_sampling():
             assert np.linalg.norm(proj) >= direct - 1e-6
 
 
+def _cone_cases(rng):
+    """Batches of vectors with their cone signs over data with duplicate,
+    antiparallel and zero rows, vectors inside their cones and in the polar
+    cones (projection 0), and one-dimensional data."""
+    for kind in ("random", "duplicate", "antiparallel", "zero", "inside", "polar", "line") * 4:
+        n, d, k = int(rng.integers(2, 9)), 1 if kind == "line" else int(rng.integers(2, 5)), int(rng.integers(1, 13))
+        X = rng.standard_normal((n, d))
+        if kind == "duplicate":
+            X[1] = X[0]
+        if kind == "antiparallel":
+            X[1] = -rng.random() * X[0]
+        if kind == "zero":
+            X[rng.integers(n)] = 0.0
+        signs = rng.choice([-1.0, 1.0], size=(k, n))
+        V = rng.standard_normal((k, d))
+        if kind == "inside":
+            signs = np.where(V @ X.T >= 0.0, 1.0, -1.0)
+        if kind == "polar":  # -(diag(signs_i) X)' mu with mu >= 0
+            V = -np.einsum("kn,nd->kd", signs * rng.random((k, n)), X)
+        yield kind, V, signs, X
+
+
+def test_project_cones_matches_per_block_and_scipy_nnls():
+    rng = np.random.default_rng(14)
+    for kind, V, signs, X in _cone_cases(rng):
+        P = conic._project_cones(V, signs, X)
+        for v, s, p in zip(V, signs, P):
+            rows = s[:, None] * X
+            mu = scipy.optimize.nnls(rows.T, -v)[0]
+            for ref in (project_polyhedral_cone(v, rows), v + rows.T @ mu):
+                assert np.linalg.norm(p - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
+            if kind == "inside":
+                assert np.array_equal(p, v)
+            if kind == "polar":
+                assert np.linalg.norm(p) <= 1e-12
+
+
+def test_project_cones_raises_typed_error(monkeypatch):
+    # a pseudo-inverse of zeros never reaches a KKT point
+    monkeypatch.setattr(np.linalg, "pinv", lambda M, rcond=None: np.zeros(M.shape[:-2] + M.shape[:-3:-1]))
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(NonConvergence):
+        conic._project_cones(np.array([[-1.0, 0.5], [1.0, 1.0]]), np.ones((2, 3)), X)
+
+
 # --- min-sum-of-norms ------------------------------------------------------
 
 
@@ -327,8 +372,9 @@ def _ref_wmul(K, W, x, inv=False):
 
 
 def _ref_prod(K, x, y):
-    parts = [_split(K, x)[0] * _split(K, y)[0]]
-    for a, b in zip(_split(K, x)[1:], _split(K, y)[1:]):
+    xs, ys = _split(K, x), _split(K, y)
+    parts = [xs[0] * ys[0]]
+    for a, b in zip(xs[1:], ys[1:]):
         out = np.empty_like(a)
         out[:, 0] = np.einsum("ij,ij->i", a, b)
         out[:, 1:] = a[:, :1] * b[:, 1:] + b[:, :1] * a[:, 1:]
@@ -337,8 +383,9 @@ def _ref_prod(K, x, y):
 
 
 def _ref_div(K, lam, r):
-    parts = [_split(K, r)[0] / _split(K, lam)[0]]
-    for a, b in zip(_split(K, lam)[1:], _split(K, r)[1:]):
+    ls, rs = _split(K, lam), _split(K, r)
+    parts = [rs[0] / ls[0]]
+    for a, b in zip(ls[1:], rs[1:]):
         u = np.empty_like(b)
         u[:, 0] = (a[:, 0] * b[:, 0] - np.einsum("ij,ij->i", a[:, 1:], b[:, 1:])) / conic._soc_det(a)
         u[:, 1:] = (b[:, 1:] - u[:, :1] * a[:, 1:]) / a[:, :1]
