@@ -933,8 +933,15 @@ SDP_MAX_ITER = 100
 
 
 def _max_step(M: np.ndarray, dM: np.ndarray) -> float:
-    """Largest t with M + t dM positive definite, for M positive definite."""
-    w = scipy.linalg.eigh(dM, M, eigvals_only=True, check_finite=False)
+    """Largest t with M + t dM positive definite, for M positive definite.
+
+    The eigenvalues of the pencil (dM, M) by LAPACK's dsygvd, the driver
+    that scipy.linalg.eigh runs, called directly; a nonzero ``info`` (M not
+    positive definite, or no convergence) raises LinAlgError as eigh does.
+    """
+    w, _, info = scipy.linalg.lapack.dsygvd(dM, M, itype=1, jobz="N", uplo="L")
+    if info:
+        raise np.linalg.LinAlgError(f"generalized eigenproblem failed: dsygvd info {info}")
     return -1.0 / w[0] if w[0] < 0.0 else math.inf
 
 

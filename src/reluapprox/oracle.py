@@ -61,7 +61,23 @@ def _pattern_of(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _candidate_directions(Xr: np.ndarray, r: int, rng: np.random.Generator):
-    """Yield blocks (rows) of direction candidates whose cells cover the arrangement."""
+    """Yield blocks (rows) of direction candidates whose cells cover the arrangement.
+
+    Every candidate :func:`enumerate_patterns` may classify: the arrangement
+    sweep, then for r > 1 the random top-up as the last block.
+    """
+    yield from _sweep_directions(Xr, r)
+    if r > 1:
+        yield _random_directions(Xr.shape[0], r, rng)
+
+
+def _random_directions(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """The random top-up: it guards against cells adjacent only to degenerate rays."""
+    return rng.standard_normal((min(2000, 200 * r * n), r))
+
+
+def _sweep_directions(Xr: np.ndarray, r: int):
+    """Yield the arrangement sweep's blocks of direction candidates."""
     n = Xr.shape[0]
     if r == 1:
         yield np.array([[1.0], [-1.0]])
@@ -88,8 +104,6 @@ def _candidate_directions(Xr: np.ndarray, r: int, rng: np.random.Generator):
             steps.append(eps * p)
         for t in (1.0, -1.0):
             yield np.vstack([t * w0, t * w0 + np.array(steps)])
-    # random top-up guards against cells adjacent only to degenerate rays
-    yield rng.standard_normal((min(2000, 200 * r * n), r))
 
 
 def _stacked(blocks, rows: int):
@@ -116,9 +130,11 @@ def enumerate_patterns(
     Works in the row space of X (patterns only depend on that component of
     w). Strict cells come from the arrangement sweep: for each independent
     (rank-1-deficient) subset of rows, perturb the null direction to both
-    sides in all sign combinations. Boundary masks are kept only when a
-    float vector realizes them exactly; w = 0 always realizes the all-ones
-    mask under the >= 0 tie convention.
+    sides in all sign combinations. A random top-up of Gaussian directions
+    guards degenerate arrangements; it is drawn only when the sweep found
+    fewer strict cells than Zaslavsky's bound. Boundary masks are kept only
+    when a float vector realizes them exactly; w = 0 always realizes the
+    all-ones mask under the >= 0 tie convention.
 
     The candidates are classified in batches, one product
     P = (C basis') X' each (up to 8 MB of P), and the masks deduplicated
@@ -140,7 +156,6 @@ def enumerate_patterns(
     if work > 50 * cap + 200000:
         raise CapExceeded(f"arrangement sweep needs ~{work} candidates (cap {cap})")
 
-    rng = np.random.default_rng(seed)
     # Both the batched and the one-candidate route (X @ (basis @ wr)) compute
     # x_i'w to within about (d + r^1.5) eps |x_i| |w|. An entry of P within
     # twice that (with margin: 4 (d + r^2) eps, and at least 64 eps) may
@@ -149,8 +164,18 @@ def enumerate_patterns(
     # one-candidate result.
     tie = max(64, 4 * (d + r * r)) * np.finfo(float).eps * np.linalg.norm(X, axis=1)
     batch = max(1, 2**20 // n)  # candidates per product, so P stays within 8 MB
+    bound = 2 * sum(math.comb(n - 1, kk) for kk in range(r))  # Zaslavsky: cells of n hyperplanes in R^r
     seen: dict[bytes, tuple[np.ndarray, np.ndarray, bool]] = {}
-    for C in _stacked(_candidate_directions(Xr, r, rng), batch):
+
+    def candidates():
+        yield from _stacked(_sweep_directions(Xr, r), batch)
+        # Only n hyperplanes in general position reach the bound, and there
+        # every tie mask is also a strict cell's: the top-up could add no mask
+        # and no strict flag, so it is drawn only below the bound.
+        if r > 1 and sum(strict for _, _, strict in seen.values()) < bound:
+            yield _random_directions(n, r, np.random.default_rng(seed))
+
+    for C in candidates():
         W = C @ basis.T
         P = W @ X.T
         masks = (P >= 0.0).astype(np.int8)
@@ -184,7 +209,6 @@ def enumerate_patterns(
         chk = (X @ w >= 0.0).astype(np.int8)
         if not np.array_equal(chk, mask):
             raise CertificateViolation("pattern realization check failed")
-    bound = 2 * sum(math.comb(n - 1, kk) for kk in range(r))
     if strict_count > bound:
         raise CertificateViolation(f"{strict_count} strict cells exceed the arrangement bound {bound}")
     return PatternSet(masks=masks, realizers=realizers, strict_count=strict_count)

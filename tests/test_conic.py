@@ -480,3 +480,26 @@ def test_phase1_infeasible_returns_none():
     ds = Dataset(Xd, [1, -1])
     prob = _relu_problem(ds, LossModel.max_margin(), enumerate_patterns(Xd, include_boundary=False))
     assert conic._phase1_feasible(prob) is None
+
+
+# --- the SDP loop's step length ---------------------------------------------
+
+
+def test_max_step_matches_generalized_eigh():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 5, 12):
+        for _ in range(20):
+            G = rng.standard_normal((n, n))
+            M = G @ G.T + 0.1 * np.eye(n)
+            D = rng.standard_normal((n, n))
+            dM = D + D.T
+            w = scipy.linalg.eigh(dM, M, eigvals_only=True)
+            assert conic._max_step(M, dM) == (-1.0 / w[0] if w[0] < 0.0 else math.inf)
+            lapack = scipy.linalg.lapack.dsygvd(dM, M, itype=1, jobz="N", uplo="L")[0]
+            assert np.array_equal(lapack, w)
+
+
+def test_max_step_raises_on_indefinite_matrix():
+    M = np.diag([1.0, -1.0, 2.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        conic._max_step(M, np.eye(3))

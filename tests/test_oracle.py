@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reluapprox import oracle
 from reluapprox.dataset import Dataset, LossModel, generate_synthetic
 from reluapprox.errors import Unbounded
 from reluapprox.geometry import dual_constraint_maximin
@@ -96,6 +97,24 @@ def test_patterns_batched_match_one_by_one(n, d, seed, kind, include_boundary):
     assert pats.masks.dtype == masks.dtype and np.array_equal(pats.masks, masks)
     assert pats.realizers.shape == realizers.shape and pats.realizers.tobytes() == realizers.tobytes()
     assert pats.strict_count == strict_count
+
+
+def test_patterns_top_up_only_below_zaslavsky_bound(monkeypatch):
+    # the Gaussian top-up is drawn only when the sweep misses cells of the bound
+    draws = []
+
+    def spy(n, r, rng):
+        draws.append((n, r))
+        return real(n, r, rng)
+
+    real = oracle._random_directions
+    monkeypatch.setattr(oracle, "_random_directions", spy)
+    X = np.random.default_rng(4).standard_normal((8, 3))
+    pats = enumerate_patterns(X, include_boundary=False)
+    assert pats.strict_count == 2 * sum(math.comb(7, k) for k in range(3)) and draws == []
+    X[1] = 2.0 * X[0]  # one hyperplane twice: fewer cells than the bound
+    enumerate_patterns(X)
+    assert draws == [(8, 3)]
 
 
 def test_exact_primal_single_point():
