@@ -643,9 +643,14 @@ def _interior_point_socp(master):
     columns by LAPACK's triangular-pentagonal QR (dtpqrt) in O(n N^2)
     flops, not the O(N^3) of a dense QR. It is the Householder QR of the
     same matrix, so the solve still sees the condition number of S, the
-    square root of that of H. The solution is refined on the full
-    two-block system while the residual halves, at most SOCP_REFINE
-    times. The step goes 0.99 of the way to the boundary.
+    square root of that of H. The affine predictor only sets sigma and
+    Mehrotra's second-order term, so it is solved once, unrefined. The
+    corrector, which moves the iterate, is refined on the full two-block
+    system while the residual halves, at most SOCP_REFINE times, and stops
+    once the residual is at the rounding floor, 16 eps times the
+    right-hand side. The predictor's scaled pair (W^{-1} ds, W dz), which
+    its direction computes on the way to ds, gives the second-order term.
+    The step goes 0.99 of the way to the boundary.
 
     The error is the worst of the relative gap and the relative primal and
     dual residuals. The loop stops when it falls below SOCP_TOL, after two
@@ -667,6 +672,7 @@ def _interior_point_socp(master):
         if shift >= -1e-8 * (1.0 + np.abs(v).max()):
             v += (1.0 + max(shift, 0.0)) * e
     nb, nc = 1.0 + math.sqrt(b @ b), 1.0 + math.sqrt(c @ c)
+    rounding = 16.0 * np.finfo(float).eps  # a residual this small relative to its right-hand side is rounding
     best, stale = None, 0
     for steps in range(SOCP_MAX_STEPS + 1):
         rp = A(x) - b - s
@@ -690,27 +696,30 @@ def _interior_point_socp(master):
             dx = normal_solve(AT(K.wmul(W, bz, inv=True, times=2)) - bx)
             return dx, K.wmul(W, bz - A(dx), inv=True, times=2)
 
-        def direction(q):
+        def direction(q, rounds):
             # the Newton step with lam o (W dz + W^{-T} ds) = rs - lam o lam,
             # given q = lam \ rs - lam, since lam \ (lam o lam) = lam loses
-            # all precision on a cone near its boundary when computed
+            # all precision on a cone near its boundary when computed;
+            # returns (dx, ds, dz) and the scaled pair (W^{-1} ds, W dz)
             bx, bz = -rd, K.wmul(W, q) - rp
             dx, dz = solve_once(bx, bz)
-            last = math.inf
-            for _ in range(SOCP_REFINE):
+            last, floor = math.inf, rounding * (math.sqrt(bx @ bx) + math.sqrt(bz @ bz))
+            for _ in range(rounds):
                 ex, ez = bx - AT(dz), bz - A(dx) - K.wmul(W, dz, times=2)
                 size = math.sqrt(ex @ ex) + math.sqrt(ez @ ez)
-                if not size < 0.5 * last:
+                if not floor < size < 0.5 * last:
                     break
                 cx, cz = solve_once(ex, ez)
                 dx, dz, last = dx + cx, dz + cz, size
-            return dx, K.wmul(W, q - K.wmul(W, dz)), dz
+            wz = K.wmul(W, dz)
+            ws = q - wz
+            return dx, K.wmul(W, ws), dz, ws, wz
 
-        dx, ds, dz = direction(-lam)  # the affine step: rs = 0
+        dx, ds, dz, ws, wz = direction(-lam, 0)  # the affine step: rs = 0
         a = min(1.0, *K.steps(s, ds, z, dz))
         sigma = min(1.0, max(0.0, float((s + a * ds) @ (z + a * dz)) / gap)) ** 3
-        corr = K.prod(K.wmul(W, ds, True), K.wmul(W, dz))
-        dx, ds, dz = direction(K.div(lam, sigma * gap / K.degree * e - corr) - lam)
+        corr = K.prod(ws, wz)
+        dx, ds, dz, _, _ = direction(K.div(lam, sigma * gap / K.degree * e - corr) - lam, SOCP_REFINE)
         a_s, a_z = K.steps(s, ds, z, dz)
         a = min(1.0, 0.99 * a_s, 0.99 * a_z)
         if not (np.isfinite(a) and np.all(np.isfinite(dx)) and np.all(np.isfinite(dz))):
