@@ -141,7 +141,7 @@ def _solve_negcorr(ds, loss, args):
 def _solve_geo(ds, loss, args):
     cert = solve_dual_geo(ds, c=args.c, loss=loss)
     p = cert.meta["p_derived"]
-    return p, cert, None, cert.rho, {"c": args.c, "side": cert.meta["side"]}
+    return p, cert, None, cert.rho, {"c": args.c}
 
 
 def _cmd_solve(args, argv) -> int:

@@ -9,8 +9,9 @@ dual slack certifies the c2 bound and whose primal is the rounding
 matrix. Because c2 dominates the true constraint, the returned vector is
 feasible for the true dual and its objective is within a sqrt(2/pi)
 factor of optimal.
-General data runs the same machinery with asymmetric radii governed by
-the geometric ratio of the two zonotopes.
+General data runs the same two label-block SDPs at the same radius: the
+merged vector is feasible on any data, and the geometric factor c only
+sets the guaranteed fraction (1-c) sqrt(2/pi).
 """
 
 from __future__ import annotations
@@ -284,6 +285,33 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
     return value, lam, {"iterations": steps, "eps": eps, "Z": sol.Z}
 
 
+def _label_block_dual(ds: Dataset, loss: LossModel, regime: str, rho: float) -> DualCertificate:
+    """Both label blocks at radius r (1, or beta for penalized losses), merged.
+
+    ``eps`` is the sum of the blocks' bounds on their distance to the
+    surrogate optimum; the constraint value is checked exactly by
+    :func:`_checked_constraint`.
+    """
+    radius = 1.0 if loss.name == "maxmargin" else loss.beta
+    vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius)
+    vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius)
+    lam = ds.merge_dual(lam_p, lam_m)
+    return DualCertificate(
+        lam=lam,
+        objective=loss.g_total(lam, ds.y),
+        constraint_value=_checked_constraint(ds, lam, radius),
+        regime=regime,
+        rho=rho,
+        eps=info_p["eps"] + info_m["eps"],
+        meta={
+            "block_values": (vp, vm),
+            "lam_blocks": (lam_p, lam_m),
+            "block_info": (info_p, info_m),
+            "loss": loss.name,
+        },
+    )
+
+
 def solve_dual_negcorr(
     ds: Dataset,
     loss: Optional[LossModel] = None,
@@ -302,27 +330,8 @@ def solve_dual_negcorr(
     cls = classify_dataset(ds, tol=class_tol)
     if cls.tag not in (ORTHO_SEPARABLE, NEGATIVE_CORRELATION):
         raise WrongRegime(f"dataset classifies as {cls.tag}")
-    radius = 1.0 if loss.name == "maxmargin" else loss.beta
-    vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius)
-    vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius)
-    lam = ds.merge_dual(lam_p, lam_m)
-    objective = loss.g_total(lam, ds.y)
     rho = SQRT_2_OVER_PI * (loss.C if loss.name not in ("maxmargin", "hinge") else 1.0)
-    constraint = _checked_constraint(ds, lam, radius)
-    return DualCertificate(
-        lam=lam,
-        objective=objective,
-        constraint_value=constraint,
-        regime="negcorr",
-        rho=rho,
-        eps=info_p["eps"] + info_m["eps"],
-        meta={
-            "block_values": (vp, vm),
-            "lam_blocks": (lam_p, lam_m),
-            "block_info": (info_p, info_m),
-            "loss": loss.name,
-        },
-    )
+    return _label_block_dual(ds, loss, "negcorr", rho)
 
 
 def geometric_ratio(ds: Dataset, lam_star: np.ndarray) -> GeoRatio:
@@ -342,48 +351,27 @@ def solve_dual_geo(
     c: float,
     loss: Optional[LossModel] = None,
 ) -> DualCertificate:
-    """Dual approximation for general data using radii (1, c) and (c, 1).
+    """Dual approximation for general data from the two radius-r block SDPs.
 
-    The caller asserts c <= min(c*, 1/c*). Both asymmetric problems are
-    solved (each block as one SDP, as in :func:`solve_dual_negcorr`) and the
-    better feasible objective kept; the guarantee is objective >=
-    sqrt(2/pi) (1-c) D - eps, with ``eps`` the sum of the block solves'
-    bounds on their distance to the surrogate optimum.
+    Both label blocks are solved at radius r, as in
+    :func:`solve_dual_negcorr`. The merged lam is feasible on any data:
+    with A(u), B(u) >= 0 the two class sums of |lam_i| (x_i'u)_+,
+    |lam'(Xu)_+| = |A(u) - B(u)| <= max(A(u), B(u)) <= r, since each block
+    certifies max_u A(u)^2 = c1(lam_p) <= c2(lam_p) <= r^2, and likewise
+    for B. The geometric factor c only sets rho = (1-c) sqrt(2/pi) (times C
+    for the squared hinge) and ``p_derived``. A block's optimum grows with
+    its radius, so the objective is at least that of the c-weighted duals
+    at radii (r, c r) and (c r, r), and objective >= rho D - eps wherever
+    their bound holds, with ``eps`` the sum of the blocks' bounds on their
+    distance to the surrogate optimum.
     """
     loss = loss or LossModel.max_margin()
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
-    radius = 1.0 if loss.name == "maxmargin" else loss.beta
-    homogeneous = loss.name == "maxmargin"
-    if homogeneous:
-        vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius)
-        vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius)
-        cand = [
-            (vp + c * vm, lam_p, c * lam_m, "Dc1"),
-            (c * vp + vm, c * lam_p, lam_m, "Dc2"),
-        ]
-        infos = (info_p, info_m)
-    else:
-        vp1, lp1, i1 = _block_negcorr(ds.X_plus, loss, radius)
-        vm1, lm1, i2 = _block_negcorr(ds.X_minus, loss, c * radius)
-        vp2, lp2, i3 = _block_negcorr(ds.X_plus, loss, c * radius)
-        vm2, lm2, i4 = _block_negcorr(ds.X_minus, loss, radius)
-        cand = [(vp1 + vm1, lp1, lm1, "Dc1"), (vp2 + vm2, lp2, lm2, "Dc2")]
-        infos = (i1, i2, i3, i4)
-    best = max(cand, key=lambda t: t[0])
-    lam = ds.merge_dual(best[1], best[2])
-    objective = loss.g_total(lam, ds.y)
     rho = (1.0 - c) * SQRT_2_OVER_PI
     if loss.name not in ("maxmargin", "hinge"):
         rho *= loss.C
-    constraint = _checked_constraint(ds, lam, radius)
-    p_derived = objective / rho if rho > 0 else math.inf
-    return DualCertificate(
-        lam=lam,
-        objective=objective,
-        constraint_value=constraint,
-        regime="geo",
-        rho=rho,
-        eps=sum(i["eps"] for i in infos),
-        meta={"c": c, "side": best[3], "p_derived": p_derived, "loss": loss.name},
-    )
+    cert = _label_block_dual(ds, loss, "geo", rho)
+    cert.meta["c"] = c
+    cert.meta["p_derived"] = cert.objective / rho if rho > 0 else math.inf
+    return cert

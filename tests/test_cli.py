@@ -157,6 +157,7 @@ def test_solve_geo_reports_certified_null(capsys, tmp_path):
     assert report["method"] == "geo"
     assert report["network"] is None
     assert report["certified"] is None
+    assert "side" not in report["diagnostics"]
 
 
 def test_certificate_violation_exit_4(capsys, tmp_path, monkeypatch):

@@ -226,8 +226,7 @@ def test_geometric_ratio_zero_denominator():
 def test_geo_two_point_line():
     ds = Dataset([[1.0], [-1.0]], [1, -1])
     cert = solve_dual_geo(ds, c=0.5)
-    assert cert.objective >= 1.5 - 1e-4  # D_c = 1 + 0.5
-    assert cert.objective <= 1.5 + 1e-6
+    assert abs(cert.objective - 2.0) <= 1e-6  # D: both blocks reach radius 1
     assert check_dual_feasibility(ds, cert.lam).feasible
 
 
@@ -238,11 +237,49 @@ def test_geo_constraint_above_radius_raises(monkeypatch):
         solve_dual_geo(ds, c=0.5)
 
 
-def test_geo_feasible_on_general_data():
+@pytest.mark.parametrize(
+    "loss",
+    [LossModel.max_margin(), LossModel.hinge(1.0), LossModel.hinge(0.3), LossModel.squared_hinge(0.3)],
+    ids=lambda l: f"{l.name}-{l.beta:g}",
+)
+def test_geo_feasible_on_general_data(monkeypatch, loss):
+    # the two radius-r blocks are feasible on any data, and their objective
+    # dominates the c-weighted duals at radii (r, c r) and (c r, r), which
+    # this test keeps as its reference
     ds = generate_synthetic("general", 7, 2, seed=0)
-    cert = solve_dual_geo(ds, c=0.5)
-    assert check_dual_feasibility(ds, cert.lam).feasible
+    c, r = 0.5, (1.0 if loss.name == "maxmargin" else loss.beta)
+    reference = []
+    for r_plus, r_minus in ((r, c * r), (c * r, r)):
+        _, lam_p, _ = dual._block_negcorr(ds.X_plus, loss, r_plus)
+        _, lam_m, _ = dual._block_negcorr(ds.X_minus, loss, r_minus)
+        reference.append(loss.g_total(ds.merge_dual(lam_p, lam_m), ds.y))
+    calls = []
+    block = dual._block_negcorr
+
+    def counted(*args):
+        calls.append(args)
+        return block(*args)
+
+    monkeypatch.setattr(dual, "_block_negcorr", counted)
+    cert = solve_dual_geo(ds, c=c, loss=loss)
+    assert len(calls) == 2
+    assert check_dual_feasibility(ds, cert.lam, bound=r).feasible
+    assert cert.objective >= max(reference) - cert.eps
     assert cert.meta["p_derived"] >= cert.objective
+
+
+@pytest.mark.parametrize("loss", [LossModel.max_margin(), LossModel.squared_hinge(0.3)], ids=lambda l: l.name)
+def test_geo_matches_negcorr_on_negcorr_data(loss):
+    # geo runs the negcorr block path: only rho and p_derived tell them apart
+    for seed in range(2):
+        ds = generate_synthetic("negative_correlation", 8, 3, seed=seed)
+        nc = solve_dual_negcorr(ds, loss)
+        geo = solve_dual_geo(ds, c=0.4, loss=loss)
+        assert np.array_equal(geo.lam, nc.lam) and geo.eps == nc.eps
+        for a, b in zip(geo.meta["lam_blocks"], nc.meta["lam_blocks"]):
+            assert np.array_equal(a, b)
+        for a, b in zip(geo.meta["block_info"], nc.meta["block_info"]):
+            assert np.array_equal(a["Z"], b["Z"])
 
 
 def test_geo_corrected_ratio_condition():
