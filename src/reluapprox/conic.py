@@ -1,17 +1,17 @@
 """Solver kernels: box least squares, min-sum-of-norms programs, small SDPs.
 
 All three kernels are deterministic and need only numpy and scipy
-(scipy for the phase-1 LP and LAPACK routines). The box least squares is
-the finite bounded-variable method of Stark and Parker, batched over the
-target points of one generator matrix. The min-sum-of-norms solver is
+(scipy for the phase-1 LP, the compiled NNLS and LAPACK routines). The
+box least squares is the finite bounded-variable method of Stark and
+Parker, batched over the target points of one generator matrix. The min-sum-of-norms solver is
 column generation. A second-order cone master over a working set of blocks
 is solved by a primal-dual interior-point method with Nesterov-Todd
 scaling; each Newton step factors a square-root matrix that is upper
 triangular but for a few dense rows, by LAPACK's triangular-pentagonal QR,
 and applies the cone operators slice by slice on flat vectors. The master
 is priced against every block's dual constraint, evaluated exactly for all
-blocks at once (with cone rows, by one batched NNLS projection onto the
-blocks' cones), and the solver stops on a *certified* duality gap of the
+blocks at once (with cone rows, by an NNLS projection of each block onto
+its cone), and the solver stops on a *certified* duality gap of the
 full program: the primal blocks are scaled to exact feasibility and the
 master's multipliers into their constraint set, so the reported gap is a
 true bound however accurately the master was solved. A margin program
@@ -115,66 +115,58 @@ def box_lsq_batch(A: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     return B, np.linalg.norm(B @ A.T - P, axis=1)
 
 
-def _nnls_small(B: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Lawson-Hanson NNLS min ||B mu - y|| over mu >= 0 for small dense B.
+def _nnls_small(B: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Nonnegative least squares min ||B mu - y|| over mu >= 0, checked.
 
-    scipy's nnls mishandles wide systems in some releases and its BVLS
-    carries Python overhead that dominates at this size, so the textbook
-    active-set loop is done directly in numpy.
+    B is d x p with y a d-vector, or a stack (t, d, p) of such problems
+    with y (t, d), solved one by one. Each runs the compiled Lawson-Hanson
+    active-set method of ``scipy.optimize.nnls`` (scipy >= 1.17; older
+    releases mishandled wide systems), bounded at 3p + 10 iterations. One
+    batched check then requires every answer to meet the KKT conditions,
+    |mu - max(mu + B'(y - B mu), 0)| <= 1000 tol (1 + max|B| (1 + max|y|))
+    with tol = 1e-12; a failed check, the iteration limit or a non-finite
+    input raises NonConvergence, so a wrong answer never reaches a
+    certificate.
     """
-    d, p = B.shape
-    mu = np.zeros(p)
-    active = np.zeros(p, dtype=bool)
-    resid = y.copy()
-    scale = 1.0 + float(np.abs(B).max()) * (1.0 + float(np.abs(y).max()))
-    for _ in range(3 * p + 10):
-        w = B.T @ resid
-        w[active] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= tol * scale:
-            break
-        active[j] = True
-        while True:
-            idx = np.flatnonzero(active)
-            sol, *_ = np.linalg.lstsq(B[:, idx], y, rcond=None)
-            if sol.min(initial=1.0) > 0.0:
-                mu[:] = 0.0
-                mu[idx] = sol
-                break
-            # step toward the new solution until a variable hits zero
-            cur = mu[idx]
-            neg = sol <= 0.0
-            alphas = cur[neg] / (cur[neg] - sol[neg])
-            alpha = float(alphas.min())
-            mu[idx] = cur + alpha * (sol - cur)
-            drop = idx[mu[idx] <= tol]
-            if drop.size == 0:
-                drop = idx[np.argmin(mu[idx])][None]
-            mu[drop] = 0.0
-            active[drop] = False
-            if not active.any():
-                return np.zeros(p)
-        resid = y - B[:, idx] @ mu[idx]
+    p = B.shape[-1]
+    mu = np.zeros(B.shape[:-2] + (p,))
+    if B.size == 0:  # scipy's nnls does not handle an empty system
+        return mu
+    try:
+        if B.ndim == 2:
+            mu = scipy.optimize.nnls(B, y, maxiter=3 * p + 10)[0]
+        else:
+            for i in range(B.shape[0]):
+                mu[i] = scipy.optimize.nnls(B[i], y[i], maxiter=3 * p + 10)[0]
+    except (RuntimeError, ValueError) as exc:
+        raise NonConvergence(f"NNLS failed: {exc}") from exc
+    scale = 1.0 + np.abs(B).max(axis=(-2, -1)) * (1.0 + np.abs(y).max(axis=-1))
+    r = y - (B @ mu[..., None])[..., 0]
+    kkt = mu - np.maximum(mu + (r[..., None, :] @ B)[..., 0, :], 0.0)
+    res = np.sqrt((kkt * kkt).sum(axis=-1))
+    if not np.all(res <= 1000 * 1e-12 * scale):
+        raise NonConvergence(f"NNLS missed its KKT conditions: max residual {res.max():.3e}")
     return mu
 
 
-def _least_distance(G: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Solve the least-distance program min ||u|| s.t. G u >= 1 exactly.
+def _least_distance(G: np.ndarray, h: Optional[np.ndarray] = None) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Solve the least-distance program min ||u|| s.t. G u >= h exactly (h = 1 by default).
 
     Lawson and Hanson, *Solving Least Squares Problems*, ch. 23: the NNLS
-    min ||E mu - e|| over mu >= 0, with E = [G'; 1'] and e the last unit
-    vector, gives the multipliers lam = mu / (1 - 1'mu) and u = G' lam. The
-    residual's last entry is -(1 - 1'mu), so the system has no solution
+    min ||E mu - e|| over mu >= 0, with E = [G'; h'] and e the last unit
+    vector, gives the multipliers lam = mu / (1 - h'mu) and u = G' lam. The
+    residual's last entry is -(1 - h'mu), so the system has no solution
     exactly when that vanishes; below 4 n eps this returns None. Otherwise
     it returns (u, lam), lam being the multipliers of min ||u||^2 / 2, so
-    ||u||^2 = 1'lam at the optimum.
+    ||u||^2 = h'lam at the optimum.
     """
     n, d = G.shape
-    E = np.vstack([G.T, np.ones((1, n))])
+    h = np.ones(n) if h is None else h
+    E = np.vstack([G.T, h])
     e = np.zeros(d + 1)
     e[-1] = 1.0
     mu = _nnls_small(E, e)
-    denom = 1.0 - float(mu.sum())
+    denom = 1.0 - float(h @ mu)
     if denom <= 4.0 * n * np.finfo(float).eps:
         return None
     lam = mu / denom
@@ -196,64 +188,18 @@ def project_polyhedral_cone(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _project_cones(V: np.ndarray, signs: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Project every row v_i of V onto its cone {u : signs_i * (X u) >= 0}, in one batch.
+    """Project every row v_i of V onto its cone {u : signs_i * (X u) >= 0}.
 
-    The batched :func:`project_polyhedral_cone`. Rows that pass their cone
-    check are returned as they are. For the others, by Moreau, v_i - proj_i
-    is the projection onto the polar cone: the NNLS min ||B_i mu + v_i|| over
-    mu >= 0, with generators B_i = (diag(signs_i) X)'. All of them run one
-    Lawson-Hanson loop with :func:`_nnls_small`'s rules and bounds; each
-    inner step solves every problem's least squares over its active columns
-    by one pseudo-inverse of the column-masked stack. A KKT residual left
-    above 1000 times its tolerance raises NonConvergence.
+    :func:`project_polyhedral_cone` for a batch of rows. Rows that pass
+    their cone check are returned as they are. For the others, by Moreau,
+    v_i - proj_i is the projection onto the polar cone: the NNLS
+    min ||B_i mu + v_i|| over mu >= 0, with generators B_i = (diag(signs_i)
+    X)', all passed to :func:`_nnls_small` as one stack.
     """
     todo = np.flatnonzero(~np.all(signs * (V @ X.T) >= 0.0, axis=1))
-    n, tol = X.shape[0], 1e-12
     B = signs[todo][:, None, :] * X.T  # (t, d, n)
-    y = -V[todo]
-    scale = 1.0 + np.abs(X).max() * (1.0 + np.abs(y).max(axis=1))
-    mu = np.zeros((todo.size, n))
-    active = np.zeros((todo.size, n), dtype=bool)
-    resid = y.copy()
-    rows = np.arange(todo.size)
-    for _ in range(3 * n + 10):
-        w = np.einsum("tdn,td->tn", B[rows], resid[rows])
-        w[active[rows]] = -np.inf
-        j = np.argmax(w, axis=1)
-        keep = w[np.arange(rows.size), j] > tol * scale[rows]
-        rows, j = rows[keep], j[keep]
-        if rows.size == 0:
-            break
-        active[rows, j] = True
-        inner = rows
-        for _ in range(n + 1):
-            act = active[inner]
-            sol = np.linalg.pinv(B[inner] * act[:, None, :], rcond=1e-12) @ y[inner][:, :, None]
-            sol = np.where(act, sol[:, :, 0], 0.0)
-            neg = act & (sol <= 0.0)
-            done = ~neg.any(axis=1)
-            mu[inner[done]] = sol[done]
-            inner, act, sol, neg = inner[~done], act[~done], sol[~done], neg[~done]
-            if inner.size == 0:
-                break
-            # step toward the new solution until a variable hits zero
-            cur = mu[inner]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alpha = np.where(neg, cur / (cur - sol), np.inf).min(axis=1, keepdims=True)
-            cur = np.where(act, cur + alpha * (sol - cur), 0.0)
-            drop = act & (cur <= tol)
-            none = np.flatnonzero(~drop.any(axis=1))
-            drop[none, np.argmin(np.where(act[none], cur[none], np.inf), axis=1)] = True
-            cur[drop] = 0.0
-            mu[inner] = cur
-            active[inner] = act & ~drop
-        resid[rows] = y[rows] - np.einsum("tdn,tn->td", B[rows], mu[rows])
-    w = np.einsum("tdn,td->tn", B, y - np.einsum("tdn,tn->td", B, mu))
-    res = np.linalg.norm(mu - np.maximum(mu + w, 0.0), axis=1)
-    if not np.all(res <= 1000 * tol * scale):
-        raise NonConvergence(f"cone projection stalled: max KKT residual {res.max():.3e}")
     P = V.copy()
-    P[todo] += np.einsum("tdn,tn->td", B, mu)
+    P[todo] += np.einsum("tdn,tn->td", B, _nnls_small(B, -V[todo]))
     return P
 
 
@@ -370,7 +316,7 @@ CONE_FEAS_RTOL = 1e-11
 
 
 def _repair_cones(prob: MinSumNormsProblem, U: np.ndarray) -> np.ndarray:
-    """Project the blocks of U onto their feasibility cones, in one batch.
+    """Project the blocks of U onto their feasibility cones.
 
     Violations at roundoff scale (relative to the block) are left alone;
     the certification treats them as feasible. A projection is kept only
@@ -394,7 +340,7 @@ def _dual_block_values(prob: MinSumNormsProblem, lam: np.ndarray) -> np.ndarray:
 
     Without cones these are ||F_i' lam||; with cones, the norm of the
     projection of F_i' lam onto the block's cone, every block's exactly, by
-    one batched projection (:func:`_project_cones`).
+    :func:`_project_cones`.
     """
     V = (prob.row_weights * lam[None, :]) @ prob.X  # k x d, rows F_i' lam
     if prob.cone_signs is not None:

@@ -31,7 +31,7 @@ from .dataset import (
     classify_dataset,
 )
 from .errors import CertificateViolation, Infeasible, NonConvergence, WrongRegime, ZeroDenominator
-from .geometry import ENUM_CAP, dual_constraint_maximin, ortho_closed_form, zonotope_vertex_max
+from .geometry import ENUM_CAP, dual_constraint_maximin, zonotope_vertex_max
 from .maxcut import _package, dual_quadratic
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -174,7 +174,8 @@ def solve_dual_ortho(
     vm, lam_m, u_minus, gap_m = _block_ortho(ds.X_minus, loss, tol)
     lam = ds.merge_dual(lam_p, lam_m)
     objective = loss.g_total(lam, ds.y)
-    constraint = max(ortho_closed_form(ds, lam, tol=class_tol))
+    # the regime is known, so this is ortho_closed_form without its checks
+    constraint = max(float(np.linalg.norm(ds.X_plus.T @ lam_p)), float(np.linalg.norm(ds.X_minus.T @ lam_m)))
     return DualCertificate(
         lam=lam,
         objective=objective,

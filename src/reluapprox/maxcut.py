@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
-from .conic import _interior_point_sdp
+from .conic import _interior_point_sdp, _least_distance
 from .errors import FactorizationFailure, NonConvergence, TooLarge, Unrealizable
 from .geometry import binary_vertices
 
@@ -278,40 +277,36 @@ def realize_mask_lp(
     guard_rows: Optional[np.ndarray] = None,
     guard_slack: float = 0.0,
 ) -> np.ndarray:
-    """Find w with I(X w >= 0) == mask by LP feasibility, or raise.
+    """Find w with I(X w >= 0) == mask as the least-norm gate with unit margins, or raise.
 
     Active rows get x'w >= 1, inactive rows x'w <= -1 (scaling makes any
-    strictly realizable mask feasible at unit slack). Guard rows,
-    when given, additionally require g'w <= -guard_slack. The all-ones
-    mask falls back to w = 0, which realizes it exactly under the >= tie
-    convention, provided no guard is requested.
+    strictly realizable mask feasible at unit slack). Guard rows, when
+    given, additionally require g'w <= -guard_slack. The gate is the
+    least-distance program min ||w|| over these rows, solved exactly by
+    Lawson and Hanson's NNLS (:func:`reluapprox.conic._least_distance`);
+    it has no solution exactly when the mask is not realizable. The name and
+    the ``"lp"`` method label of :func:`realize_patterns` remain from the LP
+    feasibility solve this replaced, since callers and benchmark traces key
+    on both. The all-ones mask falls back to w = 0, which realizes it
+    exactly under the >= tie convention, provided no guard is requested.
+    The returned w has unit norm and passes the exact mask check.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     mask = np.asarray(mask).astype(bool)
     n, d = X.shape
-    rows = [np.where(mask[:, None], -X, X)]
-    rhs = [np.full(n, -1.0)]
+    rows, rhs = [np.where(mask[:, None], X, -X)], [np.ones(n)]
     if guard_rows is not None and np.size(guard_rows):
         G = np.atleast_2d(np.asarray(guard_rows, dtype=float))
-        rows.append(G)
-        rhs.append(np.full(G.shape[0], -guard_slack))
-    A_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
-    res = scipy.optimize.linprog(
-        np.zeros(d), A_ub=A_ub, b_ub=b_ub, bounds=[(-1e6, 1e6)] * d, method="highs"
-    )
-    if res.status != 0:
+        rows.append(-G)
+        rhs.append(np.full(G.shape[0], guard_slack))
+    sol = _least_distance(np.vstack(rows), np.concatenate(rhs))
+    if sol is None:
         if mask.all() and guard_rows is None:
             return np.zeros(d)
         raise Unrealizable(f"no gate vector realizes mask {mask.astype(int).tolist()}")
-    w = res.x / max(np.linalg.norm(res.x), 1e-30)
-    chk = (X @ w >= 0.0)
-    if not np.array_equal(chk, mask):
-        # rescaling lost strictness; retry with the unnormalized witness
-        w = res.x
-        chk = (X @ w >= 0.0)
-        if not np.array_equal(chk, mask):
-            raise Unrealizable("LP witness failed the exact realization check")
+    w = sol[0] / np.linalg.norm(sol[0])
+    if not np.array_equal(X @ w >= 0.0, mask):
+        raise Unrealizable("least-distance gate failed the exact realization check")
     return w
 
 
@@ -330,17 +325,17 @@ def realize_patterns(
     unconstrained and take whatever sign w gives them. The gates of all k
     draws, their mask check on the kept rows and their guard check
     (``guard_rows @ w <= 0``) are three matrix products. A draw whose gate
-    fails a check, or is zero, falls back to an LP feasibility solve with
-    unit slack (:func:`realize_mask_lp`) on the kept rows; the LP runs once
-    per distinct kept-row target in the call and its witness serves every
-    draw with that target.
+    fails a check, or is zero, falls back to the least-norm gate with unit
+    margins (:func:`realize_mask_lp`) on the kept rows; it runs once per
+    distinct kept-row target in the call and its gate serves every draw
+    with that target.
 
     Returns ``(mask_target, mask, W, method)``: k x n target masks, k x n
     realized masks of the gates on all rows (ties count as 1), k x d gates
     (unit norm on the algebraic route) and one method per draw,
-    ``"algebraic"``, ``"lp"``, ``"zero"`` (no kept row, or the LP's all-ones
-    fallback w = 0) or ``"unrealizable"`` (the LP is infeasible; the mask
-    and gate rows of such a draw are zero).
+    ``"algebraic"``, ``"lp"`` (the fallback's gate), ``"zero"`` (no kept
+    row, or the fallback's all-ones w = 0) or ``"unrealizable"`` (no gate
+    realizes the target; the mask and gate rows of such a draw are zero).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     lam_tilde = np.asarray(lam_tilde, dtype=float)
@@ -361,7 +356,7 @@ def realize_patterns(
     masks = (P >= 0.0).astype(float)
     W[ok] /= norms[ok, None]
     method = np.full(k, "algebraic", dtype="<U12")
-    # LP fallback on the kept rows, once per distinct kept-row target
+    # least-distance fallback on the kept rows, once per distinct kept-row target
     kept_targets = targets[:, keep]
     fallback: dict[bytes, tuple] = {}  # kept-row target -> (method, mask, gate)
     for i in np.flatnonzero(~ok):

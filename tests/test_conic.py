@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -113,13 +114,36 @@ def _cone_cases(rng):
         yield kind, V, signs, X
 
 
-def test_project_cones_matches_per_block_and_scipy_nnls():
+def _nnls_by_enumeration(B, y):
+    """Exact NNLS min ||B mu - y|| over mu >= 0 by its active sets.
+
+    The optimum is attained on a set of at most d = rank-many columns, where
+    mu is the least-squares solution; every column subset of size at most d
+    is tried, and of those whose solution is nonnegative and meets the KKT
+    conditions, the one with the smallest residual is kept.
+    """
+    d, p = B.shape
+    tol = 1e-9 * (1.0 + np.abs(B).max() * (1.0 + np.abs(y).max()))
+    best, best_res = None, math.inf
+    for size in range(min(d, p) + 1):
+        for cols in itertools.combinations(range(p), size):
+            mu = np.zeros(p)
+            if cols:
+                mu[list(cols)] = np.linalg.lstsq(B[:, list(cols)], y, rcond=None)[0]
+            r = y - B @ mu
+            if mu.min() >= 0.0 and (B.T @ r).max() <= tol and np.linalg.norm(r) < best_res:
+                best, best_res = mu, np.linalg.norm(r)
+    assert best is not None
+    return best
+
+
+def test_project_cones_matches_per_block_and_enumeration():
     rng = np.random.default_rng(14)
     for kind, V, signs, X in _cone_cases(rng):
         P = conic._project_cones(V, signs, X)
         for v, s, p in zip(V, signs, P):
             rows = s[:, None] * X
-            mu = scipy.optimize.nnls(rows.T, -v)[0]
+            mu = _nnls_by_enumeration(rows.T, -v)
             for ref in (project_polyhedral_cone(v, rows), v + rows.T @ mu):
                 assert np.linalg.norm(p - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
             if kind == "inside":
@@ -129,11 +153,26 @@ def test_project_cones_matches_per_block_and_scipy_nnls():
 
 
 def test_project_cones_raises_typed_error(monkeypatch):
-    # a pseudo-inverse of zeros never reaches a KKT point
-    monkeypatch.setattr(np.linalg, "pinv", lambda M, rcond=None: np.zeros(M.shape[:-2] + M.shape[:-3:-1]))
+    # an NNLS answer of zeros misses the KKT conditions; an iteration limit
+    # raises RuntimeError; both must surface as NonConvergence
+    def zeros(A, b, **kwargs):
+        return np.zeros(np.shape(A)[1]), float(np.linalg.norm(b))
+
+    def stalled(A, b, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
     X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(NonConvergence):
-        conic._project_cones(np.array([[-1.0, 0.5], [1.0, 1.0]]), np.ones((2, 3)), X)
+    v = np.array([-1.0, 0.5])
+    for fault in (zeros, stalled):
+        monkeypatch.setattr(scipy.optimize, "nnls", fault)
+        with pytest.raises(NonConvergence):
+            conic._nnls_small(X.T, -v)
+        with pytest.raises(NonConvergence):
+            conic._least_distance(X)
+        with pytest.raises(NonConvergence):
+            project_polyhedral_cone(v, X)
+        with pytest.raises(NonConvergence):
+            conic._project_cones(np.array([v, [1.0, 1.0]]), np.ones((2, 3)), X)
 
 
 # --- min-sum-of-norms ------------------------------------------------------

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.optimize
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reluapprox.maxcut as maxcut
+from reluapprox import conic
 from reluapprox.dataset import Dataset
 from reluapprox.errors import TooLarge, Unrealizable
 from reluapprox.geometry import zonotope_vertex_max
@@ -224,6 +226,44 @@ def test_realize_mask_lp_unrealizable():
     X = np.array([[1.0], [2.0]])
     with pytest.raises(Unrealizable):
         realize_mask_lp(X, np.array([1, 0]))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    st.integers(1, 8), st.integers(1, 4), st.integers(0, 2),
+    st.sampled_from([1e-9, 0.25]), st.integers(0, 10_000),
+)
+def test_realize_mask_lp_least_distance_property(n, d, ng, slack, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    w = rng.standard_normal(d)
+    G = rng.standard_normal((ng, d))
+    G *= -np.where(G @ w >= 0.0, 1.0, -1.0)[:, None]  # every guard row negative at w
+    scale = np.linalg.norm(w) * max(np.abs(X).max(), np.abs(G).max(initial=0.0))
+    assume(np.abs(X @ w).min() >= 1e-3 * scale and (G @ w).max(initial=-1.0) <= -1e-3 * scale)
+    mask = X @ w >= 0.0
+    guards = G if ng else None
+    gate = realize_mask_lp(X, mask, guard_rows=guards, guard_slack=slack)
+    assert np.array_equal(X @ gate >= 0.0, mask)
+    assert np.all(G @ gate < 0.0)
+    # the least-distance program against an independent NNLS route
+    A = np.vstack([np.where(mask[:, None], X, -X), -G])
+    h = np.concatenate([np.ones(n), np.full(ng, slack)])
+    u, _ = conic._least_distance(A, h)
+    E = np.vstack([A.T, h])
+    mu = scipy.optimize.lsq_linear(E, np.eye(1, d + 1, d)[0], bounds=(0, np.inf), method="bvls").x
+    ref = A.T @ mu / (1.0 - h @ mu)
+    assert np.linalg.norm(u - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+    assert np.allclose(gate, u / np.linalg.norm(u), rtol=0.0, atol=1e-12)
+    # a mask that needs x and -x both active has no gate (but for the
+    # all-ones mask without guards, which w = 0 realizes)
+    X2, mask2 = np.vstack([X, -X[:1]]), np.append(mask, True)
+    mask2[0] = True
+    if guards is None and mask2.all():
+        assert not realize_mask_lp(X2, mask2).any()
+    else:
+        with pytest.raises(Unrealizable):
+            realize_mask_lp(X2, mask2, guard_rows=guards, guard_slack=slack)
 
 
 def test_realize_pattern_sampled_masks():
