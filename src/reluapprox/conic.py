@@ -406,7 +406,8 @@ def _certify(prob, U, lam_raw, beta_norm):
 
 def _soc_det(x):
     """x0^2 - |x1|^2 per row, factored to keep its precision near the boundary."""
-    r = np.linalg.norm(x[:, 1:], axis=1)
+    v = x[:, 1:]
+    r = np.sqrt(np.add.reduce(v * v, axis=1))  # |x1| as np.linalg.norm computes it, without its overhead
     return (x[:, 0] - r) * (x[:, 0] + r)
 
 
@@ -422,16 +423,13 @@ def _soc_div(lam, r, out):
     out[:, 1:] = (r[:, 1:] - out[:, :1] * lam[:, 1:]) / lam[:, :1]
 
 
-def _soc_step(x, dx):
-    """Per row the largest a with x + a dx in the cone (x interior); inf if unbounded."""
+def _soc_roots(x, dx):
+    """Per row the two roots a of det(x + a dx) = qa a^2 + 2 qb a + qc = 0, stacked; nan where not real."""
     qa, qc = _soc_det(dx), _soc_det(x)
     qb = x[:, 0] * dx[:, 0] - np.einsum("ij,ij->i", x[:, 1:], dx[:, 1:])
     disc = qb * qb - qa * qc
-    q = -(qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
-    out = np.full(x.shape[0], math.inf)
-    for root in (q / qa, qc / q):  # the two roots of qa a^2 + 2 qb a + qc
-        out = np.where((disc >= 0) & (root > 0) & (root < out), root, out)
-    return out
+    q = -(qb + np.copysign(np.sqrt(np.where(disc >= 0, disc, math.nan)), qb))
+    return np.stack([q / qa, qc / q])
 
 
 class _ConeProduct:
@@ -475,17 +473,17 @@ class _ConeProduct:
     def steps(self, s, ds, z, dz):
         """The largest a_s with s + a_s ds in the cone and a_z with z + a_z dz (s, z interior).
 
-        Both pairs go through one stacked computation; each cone's step is
-        found row by row, so the two come out as computed one at a time.
+        One pass over both pairs, stacked: the orthant's ratio test, then per
+        cone group the least positive real root of det(x + a dx) = 0. A
+        minimum is exact, so each comes out as computed one at a time.
         """
         x, dx = np.stack([s, z]), np.stack([ds, dz])
         nl, inf = self.nl, math.inf
-        lp = np.where(dx[:, :nl] < 0, -x[:, :nl] / dx[:, :nl], inf).min(axis=1, initial=inf)
-        cones = [
-            _soc_step(x[:, sl].reshape(-1, dim), dx[:, sl].reshape(-1, dim)).reshape(2, count).min(axis=1, initial=inf)
-            for sl, (count, dim) in self.groups
-        ]
-        return tuple(min([float(lp[i])] + [float(c[i]) for c in cones]) for i in range(2))
+        a = np.where(dx[:, :nl] < 0, -x[:, :nl] / dx[:, :nl], inf).min(axis=1, initial=inf)
+        for sl, (count, dim) in self.groups:
+            roots = _soc_roots(x[:, sl].reshape(-1, dim), dx[:, sl].reshape(-1, dim)).reshape(2, 2, count)
+            a = np.minimum(a, np.where(roots > 0, roots, inf).min(axis=(0, 2), initial=inf))  # nan > 0 is false
+        return float(a[0]), float(a[1])
 
     def min_eig(self, x):
         xs = self.split(x)

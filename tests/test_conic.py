@@ -433,16 +433,33 @@ def _ref_div(K, lam, r):
     parts = [rs[0] / ls[0]]
     for a, b in zip(ls[1:], rs[1:]):
         u = np.empty_like(b)
-        u[:, 0] = (a[:, 0] * b[:, 0] - np.einsum("ij,ij->i", a[:, 1:], b[:, 1:])) / conic._soc_det(a)
+        u[:, 0] = (a[:, 0] * b[:, 0] - np.einsum("ij,ij->i", a[:, 1:], b[:, 1:])) / _ref_soc_det(a)
         u[:, 1:] = (b[:, 1:] - u[:, :1] * a[:, 1:]) / a[:, :1]
         parts.append(u)
     return _join(parts)
 
 
+def _ref_soc_det(x):
+    r = np.linalg.norm(x[:, 1:], axis=1)
+    return (x[:, 0] - r) * (x[:, 0] + r)
+
+
+def _ref_soc_step(x, dx):
+    # per row, each real positive root of qa a^2 + 2 qb a + qc in turn
+    qa, qc = _ref_soc_det(dx), _ref_soc_det(x)
+    qb = x[:, 0] * dx[:, 0] - np.einsum("ij,ij->i", x[:, 1:], dx[:, 1:])
+    disc = qb * qb - qa * qc
+    q = -(qb + np.copysign(np.sqrt(np.maximum(disc, 0.0)), qb))
+    out = np.full(x.shape[0], math.inf)
+    for root in (q / qa, qc / q):
+        out = np.where((disc >= 0) & (root > 0) & (root < out), root, out)
+    return out
+
+
 def _ref_step(K, x, dx):
     xs, ds = _split(K, x), _split(K, dx)
     lp = np.where(ds[0] < 0, -xs[0] / ds[0], math.inf)
-    cones = [conic._soc_step(a, b).min(initial=math.inf) for a, b in zip(xs[1:], ds[1:])]
+    cones = [_ref_soc_step(a, b).min(initial=math.inf) for a, b in zip(xs[1:], ds[1:])]
     return min([lp.min(initial=math.inf)] + cones)
 
 
