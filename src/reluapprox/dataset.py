@@ -219,17 +219,17 @@ def classify_dataset(ds: Dataset, tol: float = 0.0) -> DatasetClass:
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     Xp, Xm = ds.X_plus, ds.X_minus
-    cross = Xm @ Xp.T  # n_minus x n_plus
-    bad = np.argwhere(cross > tol)
-    if bad.size:
-        i, j = bad[0]
+    # the witness is the first violation in row-major order; argmax of a
+    # boolean array finds it without listing every violation
+    bad = Xm @ Xp.T > tol  # n_minus x n_plus
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
         witness = (int(ds.neg_idx[i]), int(ds.pos_idx[j]))
         return DatasetClass(GENERAL, witness)
     for block, idx in ((Xp, ds.pos_idx), (Xm, ds.neg_idx)):
-        gram = block @ block.T
-        bad = np.argwhere(gram < -tol)
-        if bad.size:
-            i, j = bad[0]
+        bad = block @ block.T < -tol
+        if bad.any():
+            i, j = np.unravel_index(np.argmax(bad), bad.shape)
             return DatasetClass(NEGATIVE_CORRELATION, (int(idx[i]), int(idx[j])))
     return DatasetClass(ORTHO_SEPARABLE)
 

@@ -99,6 +99,41 @@ def test_classify_monotone_in_tol():
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
 
 
+def _classify_by_argwhere(ds, tol):
+    # the reference: list every violation, report the first
+    bad = np.argwhere(ds.X_minus @ ds.X_plus.T > tol)
+    if bad.size:
+        return GENERAL, (int(ds.neg_idx[bad[0][0]]), int(ds.pos_idx[bad[0][1]]))
+    for block, idx in ((ds.X_plus, ds.pos_idx), (ds.X_minus, ds.neg_idx)):
+        bad = np.argwhere(block @ block.T < -tol)
+        if bad.size:
+            return NEGATIVE_CORRELATION, (int(idx[bad[0][0]]), int(idx[bad[0][1]]))
+    return ORTHO_SEPARABLE, None
+
+
+def test_classify_witness_matches_argwhere():
+    # small integer entries make Gram entries exact integers, so many sit
+    # exactly at the threshold tol and many are tied with each other
+    rng = np.random.default_rng(11)
+    tags = set()
+    for _ in range(400):
+        n, d = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        y = np.where(rng.random(n) < 0.5, 1, -1)
+        y[:2] = (1, -1)
+        X = rng.integers(-2, 3, size=(n, d)).astype(float)
+        X[~X.any(axis=1), 0] = 1.0  # no zero sample
+        if rng.random() < 0.5:  # every cross product negative: the negatives on -e1 only
+            X[:, 0] = np.abs(X[:, 0]) + 1.0
+            X[y == -1, 1:] = 0.0
+            X[y == -1, 0] *= -1.0
+        ds = Dataset(X, y)
+        for tol in (0.0, 1.0, 2.0):
+            cls = classify_dataset(ds, tol)
+            assert (cls.tag, cls.witness) == _classify_by_argwhere(ds, tol)
+            tags.add(cls.tag)
+    assert tags == {ORTHO_SEPARABLE, NEGATIVE_CORRELATION, GENERAL}
+
+
 @pytest.mark.parametrize("kind,n,d,seed", [
     (ORTHO_SEPARABLE, 8, 3, 7),
     (GENERAL, 6, 2, 1),
