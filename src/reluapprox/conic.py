@@ -269,8 +269,10 @@ class MinSumNormsResult:
     blocks: np.ndarray  # k x d
     lam: np.ndarray  # n, margin/loss dual (nonnegative)
     gap: float
-    iterations: int
+    iterations: int  # interior-point steps, summed over the rounds
     dual_value: float
+    rounds: int  # masters solved
+    early_rounds: int  # rounds that ended at the pricing point, adding blocks
 
 
 def _phase1_feasible(prob: MinSumNormsProblem) -> Optional[np.ndarray]:
@@ -546,6 +548,7 @@ SOCP_MAX_STEPS = 80
 SOCP_TOL = 1e-12  # stop: relative gap and residuals all below this
 SOCP_STALL = 1e-8  # below this error, stop after two steps without a new best
 SOCP_REFINE = 6  # refinement rounds at most, each while the residual halves
+SOCP_PRICE = 1e-2  # the error at which the master offers its iterate for pricing
 
 
 def _normal_solver(T: np.ndarray, B: np.ndarray):
@@ -573,7 +576,7 @@ def _normal_solver(T: np.ndarray, B: np.ndarray):
 
 
 @np.errstate(all="ignore")
-def _interior_point_socp(master):
+def _interior_point_socp(master, price=None):
     """Solve the master's min c'x s.t. A x - b in K by a primal-dual interior-point method.
 
     Nesterov-Todd scaling with Mehrotra's predictor-corrector (Mehrotra
@@ -602,6 +605,12 @@ def _interior_point_socp(master):
     central path, then drives the iterates), on a non-finite step or after
     SOCP_MAX_STEPS; it returns the best iterate (x, s, z) and the number of
     steps taken. Callers certify what it returns.
+
+    ``price``, if given, is called once, with (x, z), the first time the
+    error falls to SOCP_PRICE: a well-centred early iterate, from which
+    column generation can price new blocks (Gondzio, Gonzalez-Brevis and
+    Munari, EJOR 224, 2013). If it returns True, that iterate and the steps
+    so far are returned; otherwise the run goes on exactly as without it.
     """
     K = master.cones
     A, AT, c, b = master.A, master.AT, master.c, master.b
@@ -627,6 +636,10 @@ def _interior_point_socp(master):
             best, stale = (err, x, s, z), 0
         else:
             stale += 1
+        if price is not None and err <= SOCP_PRICE:
+            if price(x, z):
+                return x, s, z, steps
+            price = None
         if err <= SOCP_TOL or (stale == 2 and best[0] <= SOCP_STALL) or steps == SOCP_MAX_STEPS:
             break
         W, lam = K.nt_scaling(s, z)
@@ -789,6 +802,19 @@ MSN_MAX_ROUNDS = 30
 MSN_PRICE = 8  # blocks added per pricing round
 
 
+def _price(prob, W, theta, lam, beta_norm):
+    """The (up to MSN_PRICE) blocks outside W whose dual constraint value at lam is largest above the budget.
+
+    ``theta`` holds every block's value as :func:`_certify` computed it, or
+    None, and then the values at lam itself.
+    """
+    if theta is None:
+        theta = _dual_block_values(prob, lam)
+    theta[W] = 0.0
+    new = np.argsort(-theta, kind="stable")[:MSN_PRICE]
+    return new[theta[new] > beta_norm]
+
+
 def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNormsResult:
     """Solve a min-sum-of-norms program by column generation over an interior-point master.
 
@@ -837,7 +863,7 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
             pval, dval, U_feas, lam_feas, _ = _certify(prob, U, sol[1] / np.linalg.norm(sol[0]), beta_norm)
             rel = (pval - dval) / (1.0 + abs(pval))
             if rel <= tol:
-                return MinSumNormsResult(pval, U_feas, lam_feas, pval - dval, 0, dval)
+                return MinSumNormsResult(pval, U_feas, lam_feas, pval - dval, 0, dval, 0, 0)
             best = min(best, rel)
         if math.isfinite(pval):  # a certified feasible block keeps every master feasible
             W = np.union1d(W, full)
@@ -851,25 +877,35 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     _, sv, Vt = np.linalg.svd(X, full_matrices=False)
     basis = Vt[sv > 1e-12 * max(n, d) * sv.max(initial=0.0)].T
     Xr = X @ basis
-    for _ in range(MSN_MAX_ROUNDS):
+    early = 0  # rounds that ended at the pricing point
+    for rounds in range(1, MSN_MAX_ROUNDS + 1):
         master = _Master(prob, Xr, W, beta_norm)
-        x, _, z, taken = _interior_point_socp(master)
+
+        def blocks(x):
+            U = np.zeros((k, d))
+            U[W] = x[: master.nv].reshape(W.size, -1)[:, 1:] @ basis.T
+            return U
+
+        def price(x, z):
+            nonlocal new
+            new = _price(prob, W, _certify(prob, blocks(x), z[:n], beta_norm)[4], z[:n], beta_norm)
+            return new.size > 0
+
+        new = None
+        x, _, z, taken = _interior_point_socp(master, price if W.size < k else None)
         steps += taken
-        U = np.zeros((k, d))
-        U[W] = x[: master.nv].reshape(W.size, -1)[:, 1:] @ basis.T
-        lam = z[:n]
-        pval, dval, U_feas, lam_feas, theta = _certify(prob, U, lam, beta_norm)
-        rel = (pval - dval) / (1.0 + abs(pval))  # nan or inf without a feasible point
-        if rel <= tol:
-            return MinSumNormsResult(pval, U_feas, lam_feas, pval - dval, steps, dval)
-        best = min(best, rel)
-        if theta is None:
-            theta = _dual_block_values(prob, lam)
-        theta[W] = 0.0
-        new = np.argsort(-theta, kind="stable")[:MSN_PRICE]
-        new = new[theta[new] > beta_norm]
-        if new.size == 0:
-            break
+        if new is not None and new.size:
+            early += 1
+        else:
+            lam = z[:n]
+            pval, dval, U_feas, lam_feas, theta = _certify(prob, blocks(x), lam, beta_norm)
+            rel = (pval - dval) / (1.0 + abs(pval))  # nan or inf without a feasible point
+            if rel <= tol:
+                return MinSumNormsResult(pval, U_feas, lam_feas, pval - dval, steps, dval, rounds, early)
+            best = min(best, rel)
+            new = _price(prob, W, theta, lam, beta_norm)
+            if new.size == 0:
+                break
         W = np.concatenate([W, new])
     raise NonConvergence(
         f"min-sum-of-norms column generation did not certify gap <= {tol:g} "

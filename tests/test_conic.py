@@ -14,7 +14,7 @@ from reluapprox.conic import (
     project_polyhedral_cone,
     solve_min_sum_norms,
 )
-from reluapprox.dataset import Dataset, LossModel
+from reluapprox.dataset import Dataset, LossModel, generate_synthetic
 from reluapprox.dual import _block_ortho
 from reluapprox.errors import Infeasible, NonConvergence
 from reluapprox.geometry import binary_vertices
@@ -529,6 +529,56 @@ def test_interior_point_converges_with_few_solves(monkeypatch, loss_name, cones)
         assert np.linalg.norm(rd) / (1.0 + np.linalg.norm(c)) <= conic.SOCP_STALL
         assert master.cones.min_eig(s) > 0.0 and master.cones.min_eig(z) > 0.0
     assert len(solves) <= 4.5 * steps
+
+
+@pytest.mark.parametrize(
+    "loss_name, cones",
+    [("maxmargin", True), ("maxmargin", False), ("hinge", True), ("squared_hinge", True), ("squared_hinge", False)],
+)
+def test_interior_point_declined_price_changes_nothing(loss_name, cones):
+    # a callback that declines the early iterate sees it once and leaves every bit as it was
+    for seed in range(4):
+        master, _, _ = _random_master(seed, loss_name, cones)
+        seen = []
+
+        def decline(x, z):
+            seen.append((x.copy(), z.copy()))
+            return False
+
+        plain = conic._interior_point_socp(master)
+        offered = conic._interior_point_socp(master, decline)
+        assert len(seen) == 1
+        assert plain[3] == offered[3]
+        for a, b in zip(plain[:3], offered[:3]):
+            assert np.array_equal(a, b)
+
+
+def _early_priced_problem(loss):
+    # general data, n = 10, d = 3: hundreds of cone-constrained blocks, several rounds
+    ds = generate_synthetic("general", 10, 3, seed=4)
+    return _relu_problem(ds, loss, enumerate_patterns(ds.X, include_boundary=False))
+
+
+@pytest.mark.parametrize("loss", [LossModel.max_margin(), LossModel.hinge(0.4)], ids=["maxmargin", "hinge"])
+def test_msn_rounds_end_at_pricing_point(monkeypatch, loss):
+    prob = _early_priced_problem(loss)
+    offered = []  # per master: its block count and whether it was offered a pricing callback
+    solve = conic._interior_point_socp
+
+    def recording(master, price=None):
+        offered.append((master.m, price is not None))
+        return solve(master, price)
+
+    monkeypatch.setattr(conic, "_interior_point_socp", recording)
+    res = solve_min_sum_norms(prob, tol=1e-8)
+    assert res.rounds == len(offered) and 1 <= res.early_rounds < res.rounds
+    assert all(priced == (m < prob.k) for m, priced in offered)
+    # the same program as one master over every block, certified the same way
+    beta = 1.0 if prob.mode == "margin" else loss.beta
+    master = conic._Master(prob, prob.X, np.arange(prob.k), beta)
+    x, _, z, _ = solve(master)
+    value = conic._certify(prob, x[: master.nv].reshape(prob.k, -1)[:, 1:], z[: prob.X.shape[0]], beta)[0]
+    assert abs(res.value - value) <= 1e-8 * abs(value)
 
 
 def test_normal_solver_rejects_nonfinite_and_zero_columns():
