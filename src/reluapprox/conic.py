@@ -14,11 +14,15 @@ blocks at once (with cone rows, by an NNLS projection of each block onto
 its cone), and the solver stops on a *certified* duality gap of the
 full program: the primal blocks are scaled to exact feasibility and the
 master's multipliers into their constraint set, so the reported gap is a
-true bound however accurately the master was solved. A margin program
-without cone rows first tries one block coupled to every row, a
-least-distance problem solved exactly by Lawson and Hanson's NNLS; that
-block often certifies alone, and otherwise keeps every master feasible
-without the phase-1 LP. The semidefinite programs (the Max-Cut relaxation
+true bound however accurately the master was solved. A master is first
+offered for pricing at an early, well-centred iterate (error 1e-2, as in
+the primal-dual column generation of Gondzio, Gonzalez-Brevis and Munari,
+EJOR 224, 2013); a round that prices new blocks there ends early, and
+only a master that prices none runs to completion and is certified. A
+margin program without cone rows first tries one block coupled to every
+row, a least-distance problem solved exactly by Lawson and Hanson's NNLS;
+that block often certifies alone, and otherwise keeps every master
+feasible without the phase-1 LP. The semidefinite programs (the Max-Cut relaxation
 and the block surrogate dual) share one primal-dual interior-point loop;
 its callers certify what it returns.
 """
@@ -827,7 +831,7 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     nonzero on every row (only such a block can meet the margins alone):
     its one-block program min ||u|| s.t. F_i u >= 1 is solved exactly by
     :func:`_least_distance` and certified on the full program. If that
-    certifies, the result is returned with ``iterations = 0``; if it is
+    certifies, the result is returned with ``iterations = rounds = 0``; if it is
     merely feasible, that block joins W. When no such block is feasible,
     or the program has cone rows, the phase-1 LP, which raises
     :class:`Infeasible` when the full margin system has no solution, adds
@@ -835,12 +839,24 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     master's blocks and margin multipliers lam on the full program
     (:func:`_certify`: the blocks scaled to feasibility, lam scaled into
     every block's dual constraint) and stops once the relative gap is
-    within ``tol``. Otherwise pricing adds the (up to 8) blocks whose dual
-    constraint value at lam, exact for every block as the certification
-    computed it, is largest above the budget. No violated block left, or
-    MSN_MAX_ROUNDS rounds, raise :class:`NonConvergence` with the best
-    certified gap.
-    ``iterations`` counts the interior-point steps summed over the rounds.
+    within ``tol``. Otherwise pricing (:func:`_price`) adds the (up to 8)
+    blocks whose dual constraint value at lam, exact for every block as
+    the certification computed it, is largest above the budget. No
+    violated block left, or MSN_MAX_ROUNDS rounds, raise
+    :class:`NonConvergence` with the best certified gap.
+
+    Pricing is first tried early (Gondzio, Gonzalez-Brevis and Munari,
+    EJOR 224, 2013): the master hands over its iterate once its error
+    falls to SOCP_PRICE, and its blocks and lam go through the same
+    certification and pricing. If that prices new blocks, the round ends and
+    they join W; if not, the master runs on to its stop rule and the round
+    goes on as above. A master over every block is not offered the early
+    iterate. So every returned result comes from a completed master,
+    certified at ``tol``.
+
+    ``iterations`` counts the interior-point steps summed over the rounds,
+    ``rounds`` the masters solved and ``early_rounds`` those of them that
+    ended at the pricing point.
     """
     X = prob.X
     n, d = X.shape
@@ -880,6 +896,7 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     early = 0  # rounds that ended at the pricing point
     for rounds in range(1, MSN_MAX_ROUNDS + 1):
         master = _Master(prob, Xr, W, beta_norm)
+        new = None  # the blocks priced at the early iterate, if it is offered
 
         def blocks(x):
             U = np.zeros((k, d))
@@ -891,7 +908,6 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
             new = _price(prob, W, _certify(prob, blocks(x), z[:n], beta_norm)[4], z[:n], beta_norm)
             return new.size > 0
 
-        new = None
         x, _, z, taken = _interior_point_socp(master, price if W.size < k else None)
         steps += taken
         if new is not None and new.size:

@@ -539,29 +539,25 @@ def test_interior_point_declined_price_changes_nothing(loss_name, cones):
     # a callback that declines the early iterate sees it once and leaves every bit as it was
     for seed in range(4):
         master, _, _ = _random_master(seed, loss_name, cones)
-        seen = []
+        calls = []
 
         def decline(x, z):
-            seen.append((x.copy(), z.copy()))
+            calls.append(None)
             return False
 
         plain = conic._interior_point_socp(master)
         offered = conic._interior_point_socp(master, decline)
-        assert len(seen) == 1
+        assert len(calls) == 1
         assert plain[3] == offered[3]
         for a, b in zip(plain[:3], offered[:3]):
             assert np.array_equal(a, b)
 
 
-def _early_priced_problem(loss):
-    # general data, n = 10, d = 3: hundreds of cone-constrained blocks, several rounds
-    ds = generate_synthetic("general", 10, 3, seed=4)
-    return _relu_problem(ds, loss, enumerate_patterns(ds.X, include_boundary=False))
-
-
 @pytest.mark.parametrize("loss", [LossModel.max_margin(), LossModel.hinge(0.4)], ids=["maxmargin", "hinge"])
 def test_msn_rounds_end_at_pricing_point(monkeypatch, loss):
-    prob = _early_priced_problem(loss)
+    # general data, n = 10, d = 3: hundreds of cone-constrained blocks, several rounds
+    ds = generate_synthetic("general", 10, 3, seed=4)
+    prob = _relu_problem(ds, loss, enumerate_patterns(ds.X, include_boundary=False))
     offered = []  # per master: its block count and whether it was offered a pricing callback
     solve = conic._interior_point_socp
 
