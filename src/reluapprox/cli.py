@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dataset import Dataset, LossModel, classify_dataset, generate_synthetic, load_dataset
+from .dataset import LOSS_NAMES, Dataset, LossModel, classify_dataset, generate_synthetic, load_dataset
 from .dual import (
     check_dual_feasibility,
     geometric_ratio,
@@ -42,7 +42,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .maxcut import BRUTE_CAP, gw_round, maxcut_bruteforce, sdp_relaxation
-from .oracle import exact_dual, exact_primal
+from .oracle import enumerate_patterns, exact_dual, exact_primal
 from .primal import (
     build_network_ortho,
     certify,
@@ -147,19 +147,14 @@ def _solve_geo(ds, loss, args):
 def _cmd_solve(args, argv) -> int:
     ds = load_dataset(args.input)
     loss = _loss_from_args(args)
-    cls = classify_dataset(ds, tol=args.tol_class)
+    # exact signs, as the solvers classify: a method outside its regime
+    # raises WrongRegime there
+    cls = classify_dataset(ds)
     method = args.method
     if method == "auto":
         method = {"orthogonal_separable": "ortho", "negative_correlation": "negcorr"}.get(
             cls.tag, "geo"
         )
-    regime_ok = {
-        "ortho": cls.tag == "orthogonal_separable",
-        "negcorr": cls.tag in ("orthogonal_separable", "negative_correlation"),
-        "geo": True,
-    }
-    if not regime_ok.get(method, False):
-        raise WrongRegime(f"method {method} rejected: dataset classifies as {cls.tag}")
     t0 = time.perf_counter()
     solver = {"ortho": _solve_ortho, "negcorr": _solve_negcorr, "geo": _solve_geo}[method]
     p, cert, net, rho_claim, diag = solver(ds, loss, args)
@@ -192,6 +187,8 @@ def _cmd_solve(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
+    if (args.p is None) != (args.lower is None):
+        raise ValueError("--p and --lower must be given together")
     ds = load_dataset(args.input)
     loss = _loss_from_args(args)
     with open(args.network) as fh:
@@ -221,8 +218,9 @@ def _cmd_verify(args, argv) -> int:
 def _cmd_oracle(args, argv) -> int:
     ds = load_dataset(args.input)
     loss = _loss_from_args(args)
-    pr = exact_primal(ds, loss, arch="relu", tol=args.tol)
-    pg = exact_primal(ds, loss, arch="gated", tol=args.tol)
+    patterns = enumerate_patterns(ds.X)
+    pr = exact_primal(ds, loss, arch="relu", patterns=patterns, tol=args.tol)
+    pg = exact_primal(ds, loss, arch="gated", patterns=patterns, tol=args.tol)
     report = {
         "schema": "v1",
         "command": list(argv),
@@ -231,7 +229,7 @@ def _cmd_oracle(args, argv) -> int:
         "P_gated": pg.value,
     }
     if loss.name == "maxmargin":
-        D, lam_star = exact_dual(ds, tol=args.tol)
+        D, lam_star = exact_dual(ds, tol=args.tol, patterns=patterns)
         report["D"] = D
         report["lam_star"] = lam_star.tolist()
         report["constraint_value"] = check_dual_feasibility(ds, lam_star).constraint_value
@@ -245,6 +243,8 @@ def _cmd_oracle(args, argv) -> int:
 
 
 def _cmd_maxcut(args, argv) -> int:
+    if args.k < 2:
+        raise ValueError("--k must be at least 2: the standard error needs two samples")
     with open(args.matrix) as fh:
         Q = np.array(json.load(fh), dtype=float)
     report = {"schema": "v1", "command": list(argv), "m": int(Q.shape[0])}
@@ -255,7 +255,7 @@ def _cmd_maxcut(args, argv) -> int:
         opt, z = maxcut_bruteforce(Q)
         report["opt"] = opt
         report["z_star"] = [int(v) for v in z]
-    batch = gw_round(sol.Z, Q, k=args.k or 10000, seed=args.seed)
+    batch = gw_round(sol.Z, Q, k=args.k, seed=args.seed)
     report["gw_mean"] = batch.mean
     report["gw_stderr"] = batch.stderr
     report["gw_lower_bound_check"] = batch.mean >= (2.0 / math.pi) * sol.objective - 4 * batch.stderr
@@ -263,8 +263,6 @@ def _cmd_maxcut(args, argv) -> int:
 
 
 def _cmd_experiment(args, argv) -> int:
-    if args.kind != "negcorr":
-        raise ValueError("only --kind negcorr sweeps are supported")
     loss = _loss_from_args(args)
     rows = []
     for seed in range(args.seeds):
@@ -303,22 +301,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     # no abbreviated flags: a removed flag (say --eps) must not turn into another (--eps0)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # each subcommand takes only the flags its handler reads
 
-    def common(p, input_required=True):
-        if input_required:
-            p.add_argument("--input", required=True, help="dataset CSV or JSON")
-        p.add_argument("--loss", default="maxmargin", choices=["maxmargin", "hinge", "squared_hinge"])
+    def loss_flags(p):
+        p.add_argument("--loss", default="maxmargin", choices=LOSS_NAMES)
         p.add_argument("--beta", type=float, default=1.0)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--tol-class", type=float, default=0.0, dest="tol_class")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", default=None)
 
     p = sub.add_parser("classify", help="report the dataset regime", allow_abbrev=False)
-    common(p)
+    p.add_argument("--input", required=True, help="dataset CSV or JSON")
+    p.add_argument("--tol-class", type=float, default=0.0, dest="tol_class")
 
     p = sub.add_parser("solve", help="solve by regime and emit a certified result", allow_abbrev=False)
-    common(p)
+    p.add_argument("--input", required=True, help="dataset CSV or JSON")
+    loss_flags(p)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", default=None)
     p.add_argument("--method", default="auto", choices=["auto", "ortho", "negcorr", "geo"])
     p.add_argument("--c", type=float, default=0.5, help="geometric-ratio parameter for --method geo")
     p.add_argument("--eps0", type=float, default=0.1)
@@ -326,29 +324,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="override the rounding sample count")
 
     p = sub.add_parser("verify", help="recompute a saved network against a dataset", allow_abbrev=False)
-    common(p)
+    p.add_argument("--input", required=True, help="dataset CSV or JSON")
+    loss_flags(p)
     p.add_argument("--network", required=True)
-    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--p", type=float, default=None, help="with --lower: check p against the bound")
     p.add_argument("--lower", type=float, default=None)
     p.add_argument("--rho", type=float, default=1.0)
 
     p = sub.add_parser("oracle", help="exact desk-scale values by pattern enumeration", allow_abbrev=False)
-    common(p)
+    p.add_argument("--input", required=True, help="dataset CSV or JSON")
+    loss_flags(p)
+    p.add_argument("--tol", type=float, default=1e-8)
 
     p = sub.add_parser("maxcut", help="brute force, SDP, and GW rounding on a matrix", allow_abbrev=False)
     p.add_argument("--matrix", required=True, help="JSON file with a symmetric PSD matrix")
-    p.add_argument("--k", type=int, default=10000)
+    p.add_argument("--k", type=int, default=10000, help="rounding samples, at least 2")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("experiment", help="seed sweep emitting CSV of (seed, p, P, ratio)", allow_abbrev=False)
-    p.add_argument("--kind", default="negcorr")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--eps0", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--loss", default="maxmargin", choices=["maxmargin", "hinge", "squared_hinge"])
-    p.add_argument("--beta", type=float, default=1.0)
+    loss_flags(p)
     p.add_argument("--output", default=None)
     return parser
 

@@ -218,11 +218,12 @@ class MinSumNormsProblem:
 
     Block i couples to the rows through ``row_weights[i]`` (an n-vector a_i,
     typically a 0/1 mask, or a label-folded +-1 mask), giving the linear map
-    F_i u_i = a_i * (X u_i). The program is
+    F_i u_i = a_i * (X u_i). The loss fixes the program: the max-margin
+    loss gives the margin program, the (squared) hinge the penalized one,
 
-        margin mode:     min  sum_i ||u_i||   s.t.  sum_i F_i u_i >= 1
-        penalized mode:  min  sum_j loss(s_j) + beta * sum_i ||u_i||,
-                              s = sum_i F_i u_i
+        margin:     min  sum_i ||u_i||   s.t.  sum_i F_i u_i >= 1
+        penalized:  min  sum_j loss(s_j) + beta * sum_i ||u_i||,
+                         s = sum_i F_i u_i
 
     optionally with the cone constraints diag(cone_signs[i]) X u_i >= 0 on
     every block (cone_signs is k x n of +-1; None means no block has one).
@@ -231,7 +232,6 @@ class MinSumNormsProblem:
     X: np.ndarray
     row_weights: np.ndarray  # k x n
     loss: LossModel
-    mode: str = "margin"  # "margin" | "penalized"
     cone_signs: Optional[np.ndarray] = None  # k x n of +-1
 
     def __post_init__(self):
@@ -243,10 +243,6 @@ class MinSumNormsProblem:
             raise ValueError("need at least one block")
         if not np.any(self.row_weights != 0, axis=1).all():
             raise ValueError("every block needs a nonempty row coupling")
-        if self.mode not in ("margin", "penalized"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "penalized" and self.loss.name not in ("hinge", "squared_hinge"):
-            raise ValueError(f"penalized mode needs the hinge or squared hinge loss, not {self.loss.name!r}")
         if self.cone_signs is not None:
             self.cone_signs = np.atleast_2d(np.asarray(self.cone_signs, dtype=float))
             if self.cone_signs.shape != self.row_weights.shape:
@@ -257,13 +253,12 @@ class MinSumNormsProblem:
         return self.row_weights.shape[0]
 
     @staticmethod
-    def from_masks(X, masks, loss: Optional[LossModel] = None, mode: str = "margin"):
-        """Build the plain masked program sum_i diag(b_i) X u_i >= 1."""
+    def from_masks(X, masks, loss: Optional[LossModel] = None):
+        """Build the masked program without cone rows, F_i u_i = b_i * (X u_i)."""
         return MinSumNormsProblem(
             X=X,
             row_weights=np.atleast_2d(np.asarray(masks, dtype=float)),
             loss=loss or LossModel.max_margin(),
-            mode=mode,
         )
 
 
@@ -378,7 +373,7 @@ def _certify(prob, U, lam_raw, beta_norm):
     cone_ok = _cone_violation(prob, U) <= 10 * CONE_FEAS_RTOL
     s = np.einsum("kn,kn->n", RW, U @ X.T)
     lam = np.maximum(lam_raw, 0.0)
-    if prob.mode == "margin":
+    if not loss.penalized:
         smin = s.min() if s.size else 1.0
         if smin <= 1e-12 or not cone_ok:
             pval = math.inf
@@ -694,13 +689,13 @@ class _Master:
 
     ``X`` is the data in coordinates of a basis of its row space, and the
     blocks u_i are in the same coordinates. x holds (t_i, u_i) for each
-    block of W, then in penalized mode the loss slacks xi (n), then for the
+    block of W, then for a penalized loss the slacks xi (n), then for the
     squared hinge the epigraph variable r. A x - b stacks, in this order:
 
     * the n margin rows  sum_i a_i o (X u_i) (+ xi) - 1 >= 0, whose
       multipliers are the program's lam;
     * with cones, the n rows diag(cone_signs_i) X u_i >= 0 of each block;
-    * in penalized mode xi >= 0;
+    * for a penalized loss xi >= 0;
     * the second-order cones (t_i, u_i);
     * for the squared hinge (r + 1, r - 1, 2 xi), a second-order cone that
       says r >= |xi|^2.
@@ -715,9 +710,9 @@ class _Master:
         self.X, self.n, self.m, self.d = X, n, m, d
         self.RW = prob.row_weights[W]
         self.CS = None if prob.cone_signs is None else prob.cone_signs[W]
-        self.sq = prob.mode == "penalized" and prob.loss.name == "squared_hinge"
+        self.sq = prob.loss.name == "squared_hinge"
         self.nv = m * (d + 1)
-        self.nxi = n if prob.mode == "penalized" else 0
+        self.nxi = n if prob.loss.penalized else 0
         N = self.nv + self.nxi + self.sq
         nl = n + (0 if self.CS is None else m * n) + self.nxi
         socs = [(m, d + 1)] + ([(1, n + 2)] if self.sq else [])
@@ -727,7 +722,7 @@ class _Master:
         if self.sq:
             self.c[-1] = 1.0
         else:
-            self.c[self.nv :] = 1.0  # the hinge slacks (none in margin mode)
+            self.c[self.nv :] = 1.0  # the hinge slacks (none in the margin program)
         self.b = np.zeros(nl + m * (d + 1) + (n + 2 if self.sq else 0))
         self.b[:n] = 1.0
         if self.sq:
@@ -825,7 +820,7 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     The master is the program restricted to a working set W of blocks, a
     second-order cone program (see :class:`_Master`) solved by
     :func:`_interior_point_socp`. W starts as the 2(n+1) blocks with the
-    largest |F_i' 1|; in margin mode it also holds blocks of a feasible
+    largest |F_i' 1|; in the margin program it also holds blocks of a feasible
     point, so no master is infeasible. Without cone rows the first try is
     the block with the largest |F_i' 1| among those whose row weights are
     nonzero on every row (only such a block can meet the margins alone):
@@ -861,11 +856,11 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     X = prob.X
     n, d = X.shape
     k = prob.k
-    beta_norm = 1.0 if prob.mode == "margin" else prob.loss.beta
+    beta_norm = prob.loss.beta
     order = np.argsort(-np.linalg.norm(prob.row_weights @ X, axis=1), kind="stable")
     W = order[: 2 * (n + 1)]
     best, steps = math.inf, 0  # best certified relative gap, interior-point steps
-    if prob.mode == "margin":
+    if not prob.loss.penalized:
         # only a block coupled to every row can meet every margin alone
         full = order[np.all(prob.row_weights[order] != 0.0, axis=1)][:1]
         sol = None

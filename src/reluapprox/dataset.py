@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +25,8 @@ NEGATIVE_CORRELATION = "negative_correlation"
 GENERAL = "general"
 
 _KINDS = (ORTHO_SEPARABLE, NEGATIVE_CORRELATION, GENERAL)
+LOSS_NAMES = ("maxmargin", "hinge", "squared_hinge")
+_GEN_TRIES = 200  # rejection-loop draws per generate_synthetic call
 
 
 @dataclass(frozen=True)
@@ -153,18 +155,11 @@ def _parse_label(token: str, where: str) -> int:
     raise BadLabel(f"{where}: label {token!r} is not -1 or +1")
 
 
-def load_dataset(path: str, format: Optional[str] = None) -> Dataset:
-    """Load a dataset from CSV (header ``x1,...,xd,y``) or the JSON schema.
-
-    The format is inferred from the file extension when not given.
-    """
-    if format is None:
-        format = "json" if str(path).endswith(".json") else "csv"
-    if format == "json":
+def load_dataset(path: str) -> Dataset:
+    """Load a dataset from the JSON schema (a ``.json`` path) or CSV (header ``x1,...,xd,y``)."""
+    if str(path).endswith(".json"):
         with open(path) as fh:
             return Dataset.from_json(fh.read())
-    if format != "csv":
-        raise ValueError(f"unknown dataset format {format!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -193,16 +188,12 @@ def load_dataset(path: str, format: Optional[str] = None) -> Dataset:
     return Dataset(np.array(rows), np.array(labels))
 
 
-def save_dataset(ds: Dataset, path: str, format: Optional[str] = None) -> None:
-    """Write a dataset in the canonical CSV layout or the JSON schema."""
-    if format is None:
-        format = "json" if str(path).endswith(".json") else "csv"
-    if format == "json":
+def save_dataset(ds: Dataset, path: str) -> None:
+    """Write a dataset in the JSON schema (a ``.json`` path) or the canonical CSV layout."""
+    if str(path).endswith(".json"):
         with open(path, "w") as fh:
             fh.write(ds.to_json())
         return
-    if format != "csv":
-        raise ValueError(f"unknown dataset format {format!r}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(ds.d)] + ["y"])
@@ -250,7 +241,7 @@ def _gen_ortho(rng: np.random.Generator, n: int, d: int) -> Dataset:
     return Dataset(X * scale, y)
 
 
-def _gen_negcorr(rng: np.random.Generator, n: int, d: int, tol: float = 0.0) -> Dataset:
+def _gen_negcorr(rng: np.random.Generator, n: int, d: int) -> Dataset:
     # Positive samples live in span(e1..e_k) with nonnegative first
     # coordinate, negative samples in span(e1, e_{k+1}..) with nonpositive
     # first coordinate. Cross-class products reduce to a product of a
@@ -290,7 +281,7 @@ def _gen_general(rng: np.random.Generator, n: int, d: int) -> Optional[Dataset]:
     return ds
 
 
-def generate_synthetic(kind: str, n: int, d: int, seed: int, max_tries: int = 200) -> Dataset:
+def generate_synthetic(kind: str, n: int, d: int, seed: int) -> Dataset:
     """Generate a dataset that classifies as ``kind`` under tol=0.
 
     Deterministic per (kind, n, d, seed). Raises :class:`GenerationFailed`
@@ -301,7 +292,7 @@ def generate_synthetic(kind: str, n: int, d: int, seed: int, max_tries: int = 20
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([_KINDS.index(kind), n, d, seed]))
-    for _ in range(max_tries):
+    for _ in range(_GEN_TRIES):
         if kind == ORTHO_SEPARABLE:
             ds = _gen_ortho(rng, n, d)
         elif kind == NEGATIVE_CORRELATION:
@@ -317,56 +308,60 @@ def generate_synthetic(kind: str, n: int, d: int, seed: int, max_tries: int = 20
 class LossModel:
     """Per-sample loss ``ell`` with its concave dual gain g(lam) = -ell*(-lam).
 
-    ``g`` acts coordinatewise. ``box_upper`` bounds the dual block
-    variables (1 for hinge, inf otherwise) and ``C`` is the scaling constant
-    with g(a*lam) >= a*C*g(lam) for a in (0, 1].
+    The name fixes everything else. ``g`` and ``ell`` act coordinatewise,
+    ``box_upper`` bounds the dual block variables (1 for the hinge, inf
+    otherwise), and every loss but max-margin is ``penalized`` with weight
+    ``beta`` (the max-margin loss has beta = 1). Every loss has
+    g(a*lam) >= a*g(lam) for a in (0, 1]: g is linear for max-margin and
+    the hinge, and for the squared hinge a^2 <= a.
     """
 
     name: str
     beta: float = 1.0
-    g: Callable[[np.ndarray], np.ndarray] = field(default=lambda lam: lam)
-    ell: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    box_upper: float = math.inf
-    C: float = 1.0
 
     def __post_init__(self):
-        if self.name != "maxmargin" and not self.beta > 0:
+        if self.name not in LOSS_NAMES:
+            raise ValueError(f"unknown loss {self.name!r}")
+        if self.name == "maxmargin" and self.beta != 1.0:
+            raise ValueError("the max-margin loss has beta = 1")
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
 
     @property
     def penalized(self) -> bool:
         return self.name != "maxmargin"
 
+    @property
+    def box_upper(self) -> float:
+        return 1.0 if self.name == "hinge" else math.inf
+
+    def g(self, lam: np.ndarray) -> np.ndarray:
+        if self.name == "squared_hinge":
+            return lam - lam**2 / 4.0
+        return lam
+
+    def ell(self, z: np.ndarray) -> np.ndarray:
+        if not self.penalized:
+            raise ValueError("the max-margin loss has no per-sample loss")
+        slack = np.maximum(0.0, 1.0 - z)
+        return slack**2 if self.name == "squared_hinge" else slack
+
     @staticmethod
     def max_margin() -> "LossModel":
-        return LossModel(name="maxmargin", beta=1.0)
+        return LossModel("maxmargin")
 
     @staticmethod
     def hinge(beta: float) -> "LossModel":
-        def ell(z):
-            return np.maximum(0.0, 1.0 - z)
-
-        return LossModel(name="hinge", beta=beta, ell=ell, box_upper=1.0)
+        return LossModel("hinge", beta)
 
     @staticmethod
     def squared_hinge(beta: float) -> "LossModel":
-        def ell(z):
-            return np.maximum(0.0, 1.0 - z) ** 2
-
-        def g(lam):
-            return lam - lam**2 / 4.0
-
-        return LossModel(name="squared_hinge", beta=beta, ell=ell, g=g)
+        return LossModel("squared_hinge", beta)
 
     @staticmethod
     def by_name(name: str, beta: float = 1.0) -> "LossModel":
-        if name == "maxmargin":
-            return LossModel.max_margin()
-        if name == "hinge":
-            return LossModel.hinge(beta)
-        if name in ("squared_hinge", "squared-hinge"):
-            return LossModel.squared_hinge(beta)
-        raise ValueError(f"unknown loss {name!r}")
+        """The loss ``name``; the max-margin loss ignores ``beta``."""
+        return LossModel(name, 1.0 if name == "maxmargin" else beta)
 
     def g_total(self, lam_signed: np.ndarray, y: np.ndarray) -> float:
         """Dual objective sum(g((diag(y) lam)_i)) for a full signed dual vector."""

@@ -104,15 +104,17 @@ def check_dual_feasibility(ds: Dataset, lam: np.ndarray, bound: float = 1.0) -> 
 def _checked_constraint(ds: Dataset, lam: np.ndarray, radius: float) -> Optional[float]:
     """Exact dual-constraint value of lam (None above the enumeration cap).
 
-    Raises CertificateViolation when it exceeds the radius, by the rule
-    of :func:`check_dual_feasibility`.
+    Raises CertificateViolation when :func:`check_dual_feasibility` finds
+    lam infeasible for the radius.
     """
     if max(ds.n_plus, ds.n_minus) > ENUM_CAP:
         return None
-    value = dual_constraint_maximin(ds, lam).value
-    if value > radius * (1.0 + 1e-8):
-        raise CertificateViolation(f"exact dual constraint {value:.10g} exceeds the radius {radius:g}")
-    return value
+    report = check_dual_feasibility(ds, lam, bound=radius)
+    if not report.feasible:
+        raise CertificateViolation(
+            f"exact dual constraint {report.constraint_value:.10g} exceeds the radius {radius:g}"
+        )
+    return report.constraint_value
 
 
 def _block_ortho(X_block: np.ndarray, loss: LossModel, tol: float):
@@ -133,7 +135,7 @@ def _block_ortho(X_block: np.ndarray, loss: LossModel, tol: float):
     if nb == 0:
         return 0.0, np.zeros(0), np.zeros(d), 0.0
     if loss.penalized:
-        prob = MinSumNormsProblem.from_masks(X_block, np.ones((1, nb)), loss=loss, mode="penalized")
+        prob = MinSumNormsProblem.from_masks(X_block, np.ones((1, nb)), loss=loss)
         res = solve_min_sum_norms(prob, tol=tol)
         return float(np.sum(loss.g(res.lam))), res.lam, res.blocks[0], res.gap
     sol = _least_distance(X_block)
@@ -153,21 +155,17 @@ def _block_ortho(X_block: np.ndarray, loss: LossModel, tol: float):
     return dval, lam, u / smin, gap
 
 
-def solve_dual_ortho(
-    ds: Dataset, loss: Optional[LossModel] = None, tol: float = 1e-8, class_tol: float = 0.0
-) -> DualCertificate:
+def solve_dual_ortho(ds: Dataset, loss: Optional[LossModel] = None, tol: float = 1e-8) -> DualCertificate:
     """Exact dual for orthogonal-separable data (two separated cone programs).
 
-    For the max-margin loss each block's direction is a nonnegative
-    combination of its own class's rows, so with ``class_tol = 0`` its
-    activations on the other class are <= 0 and the two-neuron network of
-    :func:`build_network_ortho` reproduces the block margins exactly. With
-    ``class_tol > 0`` the cross-class products may be positive up to
-    ``class_tol``; the margins and the closed-form ``constraint_value`` are
-    then not promised exact.
+    The data are classified with exact Gram signs. For the max-margin loss
+    each block's direction is then a nonnegative combination of its own
+    class's rows, so its activations on the other class are <= 0 and the
+    two-neuron network of :func:`build_network_ortho` reproduces the block
+    margins exactly.
     """
     loss = loss or LossModel.max_margin()
-    cls = classify_dataset(ds, tol=class_tol)
+    cls = classify_dataset(ds)
     if cls.tag != ORTHO_SEPARABLE:
         raise WrongRegime(f"dataset classifies as {cls.tag}")
     vp, lam_p, u_plus, gap_p = _block_ortho(ds.X_plus, loss, tol)
@@ -287,13 +285,13 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
 
 
 def _label_block_dual(ds: Dataset, loss: LossModel, regime: str, rho: float) -> DualCertificate:
-    """Both label blocks at radius r (1, or beta for penalized losses), merged.
+    """Both label blocks at radius r = beta (1 for the max-margin loss), merged.
 
     ``eps`` is the sum of the blocks' bounds on their distance to the
     surrogate optimum; the constraint value is checked exactly by
     :func:`_checked_constraint`.
     """
-    radius = 1.0 if loss.name == "maxmargin" else loss.beta
+    radius = loss.beta
     vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius)
     vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius)
     lam = ds.merge_dual(lam_p, lam_m)
@@ -313,26 +311,21 @@ def _label_block_dual(ds: Dataset, loss: LossModel, regime: str, rho: float) -> 
     )
 
 
-def solve_dual_negcorr(
-    ds: Dataset,
-    loss: Optional[LossModel] = None,
-    class_tol: float = 0.0,
-) -> DualCertificate:
+def solve_dual_negcorr(ds: Dataset, loss: Optional[LossModel] = None) -> DualCertificate:
     """Approximate dual for negative-correlation data via the SDP surrogate.
 
     Each label block is a one-class problem max sum g(lam) s.t.
     c2(lam) <= beta^2, solved as one semidefinite program (the Schur
-    complement form of :func:`_block_negcorr`). The result is feasible for
-    the true dual and its objective is at least sqrt(2/pi) * D - eps (times
-    the loss constant C for general losses), with ``eps`` the sum of the
+    complement form of :func:`_block_negcorr`). The data are classified
+    with exact Gram signs. The result is feasible for the true dual and its
+    objective is at least sqrt(2/pi) * D - eps, with ``eps`` the sum of the
     blocks' bounds on their distance to the surrogate optimum.
     """
     loss = loss or LossModel.max_margin()
-    cls = classify_dataset(ds, tol=class_tol)
+    cls = classify_dataset(ds)
     if cls.tag not in (ORTHO_SEPARABLE, NEGATIVE_CORRELATION):
         raise WrongRegime(f"dataset classifies as {cls.tag}")
-    rho = SQRT_2_OVER_PI * (loss.C if loss.name not in ("maxmargin", "hinge") else 1.0)
-    return _label_block_dual(ds, loss, "negcorr", rho)
+    return _label_block_dual(ds, loss, "negcorr", SQRT_2_OVER_PI)
 
 
 def geometric_ratio(ds: Dataset, lam_star: np.ndarray) -> GeoRatio:
@@ -359,10 +352,10 @@ def solve_dual_geo(
     with A(u), B(u) >= 0 the two class sums of |lam_i| (x_i'u)_+,
     |lam'(Xu)_+| = |A(u) - B(u)| <= max(A(u), B(u)) <= r, since each block
     certifies max_u A(u)^2 = c1(lam_p) <= c2(lam_p) <= r^2, and likewise
-    for B. The geometric factor c only sets rho = (1-c) sqrt(2/pi) (times C
-    for the squared hinge) and ``p_derived``. A block's optimum grows with
-    its radius, so the objective is at least that of the c-weighted duals
-    at radii (r, c r) and (c r, r), and objective >= rho D - eps wherever
+    for B. The geometric factor c only sets rho = (1-c) sqrt(2/pi) and
+    ``p_derived``. A block's optimum grows with its radius, so the
+    objective is at least that of the c-weighted duals at radii (r, c r)
+    and (c r, r), and objective >= rho D - eps wherever
     their bound holds, with ``eps`` the sum of the blocks' bounds on their
     distance to the surrogate optimum.
     """
@@ -370,8 +363,6 @@ def solve_dual_geo(
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
     rho = (1.0 - c) * SQRT_2_OVER_PI
-    if loss.name not in ("maxmargin", "hinge"):
-        rho *= loss.C
     cert = _label_block_dual(ds, loss, "geo", rho)
     cert.meta["c"] = c
     cert.meta["p_derived"] = cert.objective / rho if rho > 0 else math.inf

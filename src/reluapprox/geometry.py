@@ -159,17 +159,18 @@ def dual_constraint_maximin(ds: Dataset, lam: np.ndarray) -> MaximinReport:
     return hausdorff_distance(Kp, Km)[1]
 
 
-def ortho_closed_form(ds: Dataset, lam: np.ndarray, tol: float = 0.0) -> tuple[float, float]:
+def ortho_closed_form(ds: Dataset, lam: np.ndarray) -> tuple[float, float]:
     """Closed-form maximin values for orthogonal-separable data.
 
-    Same-class Gram blocks are entrywise nonnegative, so the forward
-    maximin collapses to ||X_+' lam_+||_2 at the all-ones vertex (and
-    symmetrically for the backward side).
+    The data are classified with exact Gram signs. Same-class Gram blocks
+    are then entrywise nonnegative, so the forward maximin collapses to
+    ||X_+' lam_+||_2 at the all-ones vertex (and symmetrically for the
+    backward side).
     """
     from .dataset import ORTHO_SEPARABLE, classify_dataset
     from .errors import WrongRegime
 
-    cls = classify_dataset(ds, tol=tol)
+    cls = classify_dataset(ds)
     if cls.tag != ORTHO_SEPARABLE:
         raise WrongRegime(f"dataset classifies as {cls.tag}, not orthogonal separable")
     lam_p, lam_m = ds.split_dual(lam)

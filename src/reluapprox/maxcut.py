@@ -205,19 +205,17 @@ def dual_quadratic(X: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return V @ V.T
 
 
-def c1_value(X: np.ndarray, lam: np.ndarray, cap: int = BRUTE_CAP) -> float:
+def c1_value(X: np.ndarray, lam: np.ndarray) -> float:
     """Exact (1/4) max_{z in \\{-1,1\\}^{n+1}} z' Q z for the dual quadratic.
 
     Equals max over binary masks b of ||X' diag(lam) b||^2; the zonotope
-    vertex maximum provides the independent cross-check.
+    vertex maximum provides the independent cross-check. More than
+    BRUTE_CAP rows raise :class:`TooLarge`.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < -1e-12):
         raise ValueError("c1 is defined for lam >= 0")
-    Q = dual_quadratic(X, lam)
-    if Q.shape[0] > cap + 1:
-        raise TooLarge(f"n={Q.shape[0] - 1} exceeds the cap {cap}")
-    val, _ = maxcut_bruteforce(Q, cap=cap + 1)
+    val, _ = maxcut_bruteforce(dual_quadratic(X, lam), cap=BRUTE_CAP + 1)
     return 0.25 * val
 
 

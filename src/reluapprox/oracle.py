@@ -38,8 +38,8 @@ class PatternSet:
     ``masks`` rows are 0/1; ``realizers`` rows satisfy
     I(X w >= 0) == mask exactly in floating point. Masks realized with all
     inequalities strict come first (``strict_count`` of them); any
-    boundary-tie masks (realized only with exact zero products, e.g. w=0)
-    follow.
+    boundary-tie masks, which a swept candidate realized only with an exact
+    zero product, follow.
     """
 
     masks: np.ndarray
@@ -119,12 +119,7 @@ def _stacked(blocks, rows: int):
         yield np.vstack(batch)
 
 
-def enumerate_patterns(
-    X: np.ndarray,
-    cap: int = PATTERN_CAP,
-    include_boundary: bool = True,
-    seed: int = 0,
-) -> PatternSet:
+def enumerate_patterns(X: np.ndarray) -> PatternSet:
     """Enumerate the distinct masks I(X w >= 0) over all w.
 
     Works in the row space of X (patterns only depend on that component of
@@ -132,9 +127,10 @@ def enumerate_patterns(
     (rank-1-deficient) subset of rows, perturb the null direction to both
     sides in all sign combinations. A random top-up of Gaussian directions
     guards degenerate arrangements; it is drawn only when the sweep found
-    fewer strict cells than Zaslavsky's bound. Boundary masks are kept only
-    when a float vector realizes them exactly; w = 0 always realizes the
-    all-ones mask under the >= 0 tie convention.
+    fewer strict cells than Zaslavsky's bound. A boundary mask is kept only
+    when a candidate realizes it exactly; w = 0 is not a candidate. More
+    than PATTERN_CAP masks, or a sweep too large for that cap, raise
+    :class:`CapExceeded`.
 
     The candidates are classified in batches, one product
     P = (C basis') X' each (up to 8 MB of P), and the masks deduplicated
@@ -153,8 +149,8 @@ def enumerate_patterns(
     basis = vt[:r].T  # d x r
     Xr = X @ basis
     work = math.comb(n, r - 1) * (2 ** max(r - 1, 0)) * 2 if r >= 2 else 4
-    if work > 50 * cap + 200000:
-        raise CapExceeded(f"arrangement sweep needs ~{work} candidates (cap {cap})")
+    if work > 50 * PATTERN_CAP + 200000:
+        raise CapExceeded(f"arrangement sweep needs ~{work} candidates (cap {PATTERN_CAP})")
 
     # Both the batched and the one-candidate route (X @ (basis @ wr)) compute
     # x_i'w to within about (d + r^1.5) eps |x_i| |w|. An entry of P within
@@ -173,7 +169,7 @@ def enumerate_patterns(
         # every tie mask is also a strict cell's: the top-up could add no mask
         # and no strict flag, so it is drawn only below the bound.
         if r > 1 and sum(strict for _, _, strict in seen.values()) < bound:
-            yield _random_directions(n, r, np.random.default_rng(seed))
+            yield _random_directions(n, r, np.random.default_rng(0))
 
     for C in candidates():
         W = C @ basis.T
@@ -189,16 +185,10 @@ def enumerate_patterns(
             key = masks[c].tobytes()
             if key not in seen or (strict[c] and not seen[key][2]):
                 seen[key] = (masks[c].copy(), C[c].copy(), bool(strict[c]))
-        if len(seen) > cap:
-            raise CapExceeded(f"more than {cap} patterns")
+        if len(seen) > PATTERN_CAP:
+            raise CapExceeded(f"more than {PATTERN_CAP} patterns")
     # realizers in full space, each as one product: the stored pair must verify
     seen = {key: (mask, basis @ wr, strict) for key, (mask, wr, strict) in seen.items()}
-    if include_boundary:
-        w0 = np.zeros(d)
-        mask, _ = _pattern_of(X, w0)  # all ones, exactly
-        key = mask.tobytes()
-        if key not in seen:
-            seen[key] = (mask, w0, False)
 
     entries = sorted(seen.values(), key=lambda e: (not e[2], tuple(e[0])))
     strict_count = sum(1 for e in entries if e[2])
@@ -226,7 +216,7 @@ def pattern_constraint_value(ds: Dataset, lam: np.ndarray, patterns: Optional[Pa
     X = ds.X
     lam = np.asarray(lam, dtype=float)
     if patterns is None:
-        patterns = enumerate_patterns(X, include_boundary=False)
+        patterns = enumerate_patterns(X)
     best = 0.0
     for mask in patterns.strict().masks:
         v = X.T @ (mask * lam)
@@ -247,17 +237,13 @@ def _relu_problem(ds: Dataset, loss: LossModel, patterns: PatternSet) -> MinSumN
     y = ds.y.astype(float)
     rw = np.vstack([y * masks, -(y * masks)])
     cone = np.vstack([2 * masks - 1, 2 * masks - 1])
-    mode = "penalized" if loss.penalized else "margin"
-    return MinSumNormsProblem(
-        X=ds.X, row_weights=rw, loss=loss, mode=mode, cone_signs=cone
-    )
+    return MinSumNormsProblem(X=ds.X, row_weights=rw, loss=loss, cone_signs=cone)
 
 
 def _gated_problem(ds: Dataset, loss: LossModel, patterns: PatternSet) -> MinSumNormsProblem:
     masks = _nonzero_masks(patterns)
     y = ds.y.astype(float)
-    mode = "penalized" if loss.penalized else "margin"
-    return MinSumNormsProblem(X=ds.X, row_weights=y * masks, loss=loss, mode=mode)
+    return MinSumNormsProblem(X=ds.X, row_weights=y * masks, loss=loss)
 
 
 @dataclass
@@ -276,7 +262,6 @@ def exact_primal(
     arch: str = "relu",
     patterns: Optional[PatternSet] = None,
     tol: float = 1e-9,
-    cap: int = PATTERN_CAP,
 ) -> ExactPrimal:
     """Exact optimal value of the training problem by pattern enumeration.
 
@@ -288,7 +273,7 @@ def exact_primal(
     """
     loss = loss or LossModel.max_margin()
     if patterns is None:
-        patterns = enumerate_patterns(ds.X, cap=cap, include_boundary=False)
+        patterns = enumerate_patterns(ds.X)
     if arch not in ("relu", "gated"):
         raise ValueError(f"arch must be 'relu' or 'gated', got {arch!r}")
     prob = _relu_problem(ds, loss, patterns) if arch == "relu" else _gated_problem(ds, loss, patterns)
@@ -309,7 +294,6 @@ def exact_primal(
 def exact_dual(
     ds: Dataset,
     tol: float = 1e-9,
-    cap: int = PATTERN_CAP,
     patterns: Optional[PatternSet] = None,
 ) -> tuple[float, np.ndarray]:
     """Exact dual optimum D and a maximizer lambda*.
@@ -320,7 +304,7 @@ def exact_dual(
     reproduce exactly the dual constraint max_u |lam'(Xu)_+| <= 1.
     """
     try:
-        res = exact_primal(ds, LossModel.max_margin(), arch="relu", patterns=patterns, tol=tol, cap=cap)
+        res = exact_primal(ds, LossModel.max_margin(), arch="relu", patterns=patterns, tol=tol)
     except Infeasible:
         raise Unbounded("max-margin dual unbounded: primal margin system infeasible") from None
     lam_star = ds.y * res.lam  # kernel multipliers are diag(y) lam >= 0

@@ -96,11 +96,18 @@ def network_to_json(net: Network) -> str:
 
 
 def network_from_json(text: str) -> Network:
-    obj = json.loads(text)
-    W1 = np.array(obj["W1"], dtype=float)
-    w2 = np.array(obj["w2"], dtype=float)
-    if obj.get("H") is not None:
-        return GatedReluNetwork(H=np.array(obj["H"], dtype=float), W1=W1, w2=w2)
+    """Inverse of :func:`network_to_json`; a malformed network raises ValueError."""
+    try:
+        obj = json.loads(text)
+        W1 = np.array(obj["W1"], dtype=float)
+        w2 = np.array(obj["w2"], dtype=float)
+        H = None if obj.get("H") is None else np.array(obj["H"], dtype=float)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad network JSON: {exc!r}") from exc
+    if W1.ndim != 2 or w2.shape != W1.shape[1:] or (H is not None and H.shape != W1.shape):
+        raise ValueError("bad network JSON: need W1 of d x m, w2 of m and H null or d x m")
+    if H is not None:
+        return GatedReluNetwork(H=H, W1=W1, w2=w2)
     return ReluNetwork(W1=W1, w2=w2)
 
 
@@ -163,15 +170,15 @@ class Certificate:
     reason: str
 
 
-def certify(p: float, lower: float, rho: float, weak_tol: float = 1e-9) -> Certificate:
-    """Accept iff lower <= p <= lower / rho * (1 + 1e-8).
+def certify(p: float, lower: float, rho: float) -> Certificate:
+    """Accept iff lower - 1e-9 (1 + |lower|) <= p <= lower / rho * (1 + 1e-8).
 
     A value below the dual lower bound signals a solver bug (weak duality
     cannot fail); a value above lower/rho exceeds the claimed ratio.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
-    if p < lower - weak_tol * (1.0 + abs(lower)):
+    if p < lower - 1e-9 * (1.0 + abs(lower)):
         return Certificate(False, p, lower, rho, "p below the dual lower bound (weak duality violated)")
     if p > lower / rho * (1.0 + 1e-8):
         return Certificate(False, p, lower, rho, f"p exceeds lower/rho = {lower / rho:.6g}")
@@ -215,10 +222,7 @@ def _round_block_masks(X_block, lam_block, Z, k, guard, rng):
 
 
 def _solve_block_primal(X_block, masks, loss):
-    mode = "penalized" if loss.penalized else "margin"
-    prob = MinSumNormsProblem(
-        X=X_block, row_weights=np.array(masks, dtype=float), loss=loss, mode=mode
-    )
+    prob = MinSumNormsProblem(X=X_block, row_weights=np.array(masks, dtype=float), loss=loss)
     return solve_min_sum_norms(prob, tol=1e-9)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reluapprox import cli
+from reluapprox import cli, oracle
 from reluapprox.cli import main
 from reluapprox.dataset import generate_synthetic, save_dataset
 from reluapprox.errors import CertificateViolation
@@ -104,6 +105,95 @@ def test_oracle_command(capsys, toy_csv):
     assert abs(report["c_star"] - 1.0) < 1e-6
 
 
+def test_oracle_enumerates_patterns_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    enumerate_patterns = oracle.enumerate_patterns
+
+    def counted(X):
+        calls.append(X.shape)
+        return enumerate_patterns(X)
+
+    monkeypatch.setattr(cli, "enumerate_patterns", counted)
+    monkeypatch.setattr(oracle, "enumerate_patterns", counted)
+    ds = generate_synthetic("general", 7, 2, seed=0)
+    path = tmp_path / "gen.csv"
+    save_dataset(ds, str(path))
+    code, out = run_cli(capsys, "oracle", "--input", str(path))
+    assert code == 0, out
+    assert "D" in json.loads(out)  # both primals and the dual ran
+    assert calls == [(7, 2)]
+
+
+_FLAGS = {
+    "classify": {"--input", "--tol-class"},
+    "solve": {
+        "--input", "--loss", "--beta", "--tol", "--seed", "--output",
+        "--method", "--c", "--eps0", "--delta", "--k",
+    },
+    "verify": {"--input", "--loss", "--beta", "--network", "--p", "--lower", "--rho"},
+    "oracle": {"--input", "--loss", "--beta", "--tol"},
+    "maxcut": {"--matrix", "--k", "--seed"},
+    "experiment": {"--n", "--d", "--seeds", "--eps0", "--delta", "--loss", "--beta", "--output"},
+}
+
+
+def test_parser_flags_per_subcommand():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+    assert flags == _FLAGS
+    assert sum(map(len, flags.values())) == 35
+
+
+@pytest.mark.parametrize("flags", [["--p", "1"], ["--lower", "1"]])
+def test_verify_needs_p_and_lower_together(capsys, tmp_path, toy_csv, flags):
+    net_path = tmp_path / "net.json"
+    assert run_cli(capsys, "solve", "--input", toy_csv, "--output", str(net_path))[0] == 0
+    code = main(["verify", "--network", str(net_path), "--input", toy_csv, *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["type"] == "ValueError"
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("network", [[[1.0, 2.0]], {"W1": 1.0, "w2": [1.0]}, {"W1": [[1.0]]}, "net"])
+def test_verify_malformed_network_exit_2(capsys, tmp_path, toy_csv, network):
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(network))
+    code = main(["verify", "--network", str(net_path), "--input", toy_csv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["type"] == "ValueError"
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_maxcut_needs_two_samples(capsys, tmp_path, k):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps([[2.0, 1.0], [1.0, 2.0]]))
+    code, out = run_cli(capsys, "maxcut", "--matrix", str(path), "--k", k)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+def test_solve_classifies_with_exact_signs(capsys, tmp_path):
+    # within 0.01 these rows look orthogonal separable, but (1, 0) and (-0.001, 1)
+    # share a label and have a negative product
+    path = tmp_path / "near.csv"
+    path.write_text("x1,x2,y\n1,0,1\n-0.001,1,1\n-1,-0.5,-1\n")
+    code, out = run_cli(capsys, "solve", "--input", str(path))
+    assert code == 0, out
+    report = json.loads(out)
+    assert report["class"] == "negative_correlation" and report["method"] == "negcorr"
+    assert report["certified"] is True
+    code, out = run_cli(capsys, "classify", "--input", str(path), "--tol-class", "0.01")
+    assert code == 0 and json.loads(out)["class"] == "orthogonal_separable"
+    assert main(["solve", "--input", str(path), "--tol-class", "0.01"]) == 2
+
+
 def test_maxcut_command(capsys, tmp_path):
     rng = np.random.default_rng(0)
     B = rng.standard_normal((5, 5))
@@ -120,7 +210,7 @@ def test_maxcut_command(capsys, tmp_path):
 def test_experiment_csv(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code = main([
-        "experiment", "--kind", "negcorr", "--n", "6", "--d", "2",
+        "experiment", "--n", "6", "--d", "2",
         "--seeds", "2", "--eps0", "0.1", "--output", str(out_path),
     ])
     assert code == 0
@@ -219,7 +309,11 @@ def test_cli_never_raises_property(tmp_path, n, d, seed, edits, cmd, loss, beta,
         ",".join([f"x{i + 1}" for i in range(d)] + ["y"]) + "\n"
         + "".join(",".join([repr(float(v)) for v in row] + [str(int(lab))]) + "\n" for row, lab in zip(X, y))
     )
-    argv = [cmd, "--input", str(path), "--loss", loss, "--beta", beta, "--tol", tol]
+    argv = [cmd, "--input", str(path)]
+    if cmd == "classify":
+        argv += ["--tol-class", tol]
+    else:
+        argv += ["--loss", loss, "--beta", beta, "--tol", tol]
     if cmd == "solve":
         argv += ["--method", method, "--c", c, "--eps0", eps0, "--delta", delta]
         argv += ["--k", k] if k is not None else []

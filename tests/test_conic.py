@@ -197,7 +197,7 @@ def test_msn_two_blocks_hand_value():
 def test_msn_hinge_zero_network():
     X = np.array([[1.0], [-1.0]])
     loss = LossModel.hinge(beta=10.0)
-    prob = MinSumNormsProblem.from_masks(X, np.array([[1.0, 1.0]]), loss=loss, mode="penalized")
+    prob = MinSumNormsProblem.from_masks(X, np.array([[1.0, 1.0]]), loss=loss)
     res = solve_min_sum_norms(prob)
     assert abs(res.value - 2.0) < 1e-8  # n * ell(0)
     assert np.linalg.norm(res.blocks) < 1e-6
@@ -289,7 +289,6 @@ def test_msn_certified_property(n, d, k, seed, loss_name, beta, cones):
         X=X,
         row_weights=y * masks,
         loss=loss,
-        mode="penalized" if loss.penalized else "margin",
         cone_signs=2.0 * masks - 1.0 if cones else None,
     )
     tol = 1e-8
@@ -351,10 +350,9 @@ def _random_master(seed, loss_name, cones):
         X=X,
         row_weights=weights,
         loss=loss,
-        mode="penalized" if loss.penalized else "margin",
         cone_signs=2.0 * masks - 1.0 if cones else None,
     )
-    master = conic._Master(prob, X, np.arange(prob.k), 1.0 if prob.mode == "margin" else loss.beta)
+    master = conic._Master(prob, X, np.arange(prob.k), loss.beta)
     W, _ = master.cones.nt_scaling(_interior(master.cones, rng), _interior(master.cones, rng))
     return master, W, rng
 
@@ -557,7 +555,7 @@ def test_interior_point_declined_price_changes_nothing(loss_name, cones):
 def test_msn_rounds_end_at_pricing_point(monkeypatch, loss):
     # general data, n = 10, d = 3: hundreds of cone-constrained blocks, several rounds
     ds = generate_synthetic("general", 10, 3, seed=4)
-    prob = _relu_problem(ds, loss, enumerate_patterns(ds.X, include_boundary=False))
+    prob = _relu_problem(ds, loss, enumerate_patterns(ds.X))
     offered = []  # per master: its block count and whether it was offered a pricing callback
     solve = conic._interior_point_socp
 
@@ -570,7 +568,7 @@ def test_msn_rounds_end_at_pricing_point(monkeypatch, loss):
     assert res.rounds == len(offered) and 1 <= res.early_rounds < res.rounds
     assert all(priced == (m < prob.k) for m, priced in offered)
     # the same program as one master over every block, certified the same way
-    beta = 1.0 if prob.mode == "margin" else loss.beta
+    beta = loss.beta
     master = conic._Master(prob, prob.X, np.arange(prob.k), beta)
     x, _, z, _ = solve(master)
     value = conic._certify(prob, x[: master.nv].reshape(prob.k, -1)[:, 1:], z[: prob.X.shape[0]], beta)[0]
@@ -603,7 +601,7 @@ def test_phase1_feasible_point_meets_every_row():
             continue
         ran += 1
         ds = Dataset(X, np.sign(f).astype(int))
-        prob = _relu_problem(ds, LossModel.max_margin(), enumerate_patterns(X, include_boundary=False))
+        prob = _relu_problem(ds, LossModel.max_margin(), enumerate_patterns(X))
         U = conic._phase1_feasible(prob)
         assert U is not None and U.shape == (prob.k, d)
         P = U @ X.T
@@ -620,7 +618,7 @@ def test_phase1_infeasible_returns_none():
     # a relu program whose two rows are one point with both labels
     Xd = np.array([[1.0], [1.0]])
     ds = Dataset(Xd, [1, -1])
-    prob = _relu_problem(ds, LossModel.max_margin(), enumerate_patterns(Xd, include_boundary=False))
+    prob = _relu_problem(ds, LossModel.max_margin(), enumerate_patterns(Xd))
     assert conic._phase1_feasible(prob) is None
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from reluapprox.dataset import (
     GENERAL,
+    LOSS_NAMES,
     NEGATIVE_CORRELATION,
     ORTHO_SEPARABLE,
     Dataset,
@@ -186,9 +187,20 @@ def test_squared_hinge_g_matches_conjugate():
         assert abs(float(sq.g(np.array([lam]))[0]) - g_direct) < 1e-6
 
 
-def test_hinge_g_scaling_constant():
-    # hinge has C = 1: g(a lam) = a lam >= a * 1 * g(lam) on the box
-    hinge = LossModel.hinge(1.0)
-    lam = np.array([0.3, 0.9])
-    for a in (0.2, 0.7, 1.0):
-        assert np.all(hinge.g(a * lam) >= a * hinge.C * hinge.g(lam) - 1e-12)
+def test_g_scaling_every_loss():
+    # g(a lam) >= a g(lam) for a in (0, 1]: linear g, and for the squared hinge a^2 <= a
+    lam = np.array([0.0, 0.3, 0.9, 1.7, 3.5])
+    for name in LOSS_NAMES:
+        loss = LossModel.by_name(name, 1.0)
+        for a in (0.2, 0.7, 1.0):
+            assert np.all(loss.g(a * lam) >= a * loss.g(lam) - 1e-12), name
+
+
+def test_loss_model_is_its_name_and_beta():
+    for name in LOSS_NAMES:
+        assert LossModel.by_name(name, 0.5) == LossModel.by_name(name, 0.5)
+    assert LossModel.by_name("maxmargin", 0.5) == LossModel.max_margin()
+    assert LossModel.max_margin().beta == 1.0 and not LossModel.max_margin().penalized
+    for name, beta in (("squared-hinge", 1.0), ("logistic", 1.0), ("maxmargin", 2.0), ("hinge", 0.0)):
+        with pytest.raises(ValueError):
+            LossModel(name, beta)

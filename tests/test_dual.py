@@ -9,6 +9,7 @@ import pytest
 from reluapprox import dual
 from reluapprox.dataset import Dataset, LossModel, generate_synthetic
 from reluapprox.dual import (
+    _block_ortho,
     check_dual_feasibility,
     geometric_ratio,
     solve_dual_geo,
@@ -51,10 +52,9 @@ def test_ortho_hinge_box_top():
 
 
 def test_ortho_infeasible_margin_raises():
-    # a class tolerance of 1 admits x and -x as one class; no u has both margins >= 1
-    ds = Dataset([[1.0], [-1.0]], [1, 1])
+    # x and -x in one block: no u has both margins >= 1
     with pytest.raises(Infeasible):
-        solve_dual_ortho(ds, class_tol=1.0)
+        _block_ortho(np.array([[1.0], [-1.0]]), LossModel.max_margin(), 1e-8)
 
 
 def test_ortho_constraint_value_is_closed_form():

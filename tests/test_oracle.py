@@ -21,13 +21,13 @@ from reluapprox.oracle import (
 def test_patterns_one_dimensional():
     pats = enumerate_patterns(np.array([[1.0], [-1.0]]))
     masks = {tuple(int(v) for v in m) for m in pats.masks}
-    assert masks == {(1, 0), (0, 1), (1, 1)}
-    assert pats.strict_count == 2  # (1,1) needs the w=0 tie
+    assert masks == {(1, 0), (0, 1)}  # (1,1) needs the w=0 tie, which is no cell
+    assert pats.strict_count == 2
 
 
 def test_patterns_two_generic_lines():
     X = np.array([[1.0, 0.3], [0.2, -1.0]])
-    pats = enumerate_patterns(X, include_boundary=False)
+    pats = enumerate_patterns(X)
     assert pats.strict_count == 4  # two lines cut the plane into four cells
 
 
@@ -46,14 +46,13 @@ def test_patterns_count_bound():
     for _ in range(6):
         n, d = int(rng.integers(3, 10)), int(rng.integers(1, 4))
         X = rng.standard_normal((n, d))
-        pats = enumerate_patterns(X, include_boundary=False)
+        pats = enumerate_patterns(X)
         bound = 2 * sum(math.comb(n - 1, k) for k in range(d))
         assert pats.strict_count <= bound
 
 
-def _patterns_one_by_one(X, include_boundary):
+def _patterns_one_by_one(X):
     """enumerate_patterns as one product X @ (basis @ wr) per candidate, kept first-seen."""
-    n, d = X.shape
     _, s, vt = np.linalg.svd(X, full_matrices=False)
     r = int(np.sum(s > 1e-12 * s[0]))
     basis = vt[:r].T
@@ -66,9 +65,6 @@ def _patterns_one_by_one(X, include_boundary):
             key = mask.tobytes()
             if key not in seen or (strict and not seen[key][2]):
                 seen[key] = (mask, w, strict)
-    ones = np.ones(n, dtype=np.int8)
-    if include_boundary and ones.tobytes() not in seen:
-        seen[ones.tobytes()] = (ones, np.zeros(d), False)
     entries = sorted(seen.values(), key=lambda e: (not e[2], tuple(e[0])))
     masks = np.array([e[0] for e in entries], dtype=np.int8)
     return masks, np.array([e[1] for e in entries]), sum(e[2] for e in entries)
@@ -80,9 +76,8 @@ def _patterns_one_by_one(X, include_boundary):
     d=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["random", "rounded", "antipodal"]),
-    include_boundary=st.booleans(),
 )
-def test_patterns_batched_match_one_by_one(n, d, seed, kind, include_boundary):
+def test_patterns_batched_match_one_by_one(n, d, seed, kind):
     # the batched product must give every mask, realizer and strict flag bit for bit
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
@@ -92,8 +87,8 @@ def test_patterns_batched_match_one_by_one(n, d, seed, kind, include_boundary):
     elif kind == "antipodal":  # rows opposite to others up to 1e-9
         half = n // 2
         X[half : 2 * half] = -X[:half] + 1e-9 * rng.standard_normal((half, d))
-    pats = enumerate_patterns(X, include_boundary=include_boundary)
-    masks, realizers, strict_count = _patterns_one_by_one(X, include_boundary)
+    pats = enumerate_patterns(X)
+    masks, realizers, strict_count = _patterns_one_by_one(X)
     assert pats.masks.dtype == masks.dtype and np.array_equal(pats.masks, masks)
     assert pats.realizers.shape == realizers.shape and pats.realizers.tobytes() == realizers.tobytes()
     assert pats.strict_count == strict_count
@@ -110,7 +105,7 @@ def test_patterns_top_up_only_below_zaslavsky_bound(monkeypatch):
     real = oracle._random_directions
     monkeypatch.setattr(oracle, "_random_directions", spy)
     X = np.random.default_rng(4).standard_normal((8, 3))
-    pats = enumerate_patterns(X, include_boundary=False)
+    pats = enumerate_patterns(X)
     assert pats.strict_count == 2 * sum(math.comb(7, k) for k in range(3)) and draws == []
     X[1] = 2.0 * X[0]  # one hyperplane twice: fewer cells than the bound
     enumerate_patterns(X)
