@@ -28,11 +28,9 @@ from .dual import (
 )
 from .geometry import (
     MaximinReport,
-    Zonotope,
     dual_constraint_maximin,
     hausdorff_distance,
     ortho_closed_form,
-    project_onto_zonotope,
     zonotope_vertex_max,
 )
 from .maxcut import (

@@ -43,7 +43,6 @@ from .errors import Infeasible, NonConvergence
 
 __all__ = [
     "box_lsq_batch",
-    "project_polyhedral_cone",
     "MinSumNormsProblem",
     "MinSumNormsResult",
     "solve_min_sum_norms",
@@ -177,28 +176,14 @@ def _least_distance(G: np.ndarray, h: Optional[np.ndarray] = None) -> Optional[t
     return G.T @ lam, lam
 
 
-def project_polyhedral_cone(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Project ``v`` onto the cone {u : rows @ u >= 0}.
-
-    Via Moreau: the residual v - proj is the projection onto the polar cone
-    {-rows.T @ mu : mu >= 0}, a nonnegative least-squares problem.
-    """
-    v = np.asarray(v, dtype=float)
-    rows = np.atleast_2d(rows)
-    if rows.size == 0 or np.all(rows @ v >= 0):
-        return v
-    mu = _nnls_small(rows.T, -v)
-    return v + rows.T @ mu
-
-
 def _project_cones(V: np.ndarray, signs: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Project every row v_i of V onto its cone {u : signs_i * (X u) >= 0}.
 
-    :func:`project_polyhedral_cone` for a batch of rows. Rows that pass
-    their cone check are returned as they are. For the others, by Moreau,
-    v_i - proj_i is the projection onto the polar cone: the NNLS
-    min ||B_i mu + v_i|| over mu >= 0, with generators B_i = (diag(signs_i)
-    X)', all passed to :func:`_nnls_small` as one stack.
+    Rows that pass their cone check are returned as they are. For the
+    others, by Moreau, v_i - proj_i is the projection onto the polar cone:
+    the NNLS min ||B_i mu + v_i|| over mu >= 0, with generators
+    B_i = (diag(signs_i) X)', all passed to :func:`_nnls_small` as one
+    stack.
     """
     todo = np.flatnonzero(~np.all(signs * (V @ X.T) >= 0.0, axis=1))
     B = signs[todo][:, None, :] * X.T  # (t, d, n)
@@ -851,8 +836,11 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
 
     ``iterations`` counts the interior-point steps summed over the rounds,
     ``rounds`` the masters solved and ``early_rounds`` those of them that
-    ended at the pricing point.
+    ended at the pricing point. A ``tol`` that is not a finite positive
+    number raises ValueError.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
     X = prob.X
     n, d = X.shape
     k = prob.k

@@ -247,11 +247,8 @@ def _gen_negcorr(rng: np.random.Generator, n: int, d: int) -> Dataset:
     # first coordinate. Cross-class products reduce to a product of a
     # nonnegative and a nonpositive number, hence are exactly <= 0, while
     # same-class products can go negative (so the class is not orthogonal
-    # separable for generic draws).
-    if d < 2:
-        # In one dimension negative correlation coincides with orthogonal
-        # separability; fall back to the exact construction.
-        return _gen_ortho(rng, n, d)
+    # separable for generic draws). generate_synthetic rejects the (n, d)
+    # where no class can.
     n_plus = max(1, n // 2)
     k = max(1, (d - 1) // 2)
     y = np.concatenate([np.ones(n_plus, int), -np.ones(n - n_plus, int)])
@@ -284,13 +281,35 @@ def _gen_general(rng: np.random.Generator, n: int, d: int) -> Optional[Dataset]:
 def generate_synthetic(kind: str, n: int, d: int, seed: int) -> Dataset:
     """Generate a dataset that classifies as ``kind`` under tol=0.
 
-    Deterministic per (kind, n, d, seed). Raises :class:`GenerationFailed`
-    if the rejection loop cannot hit the requested class.
+    Deterministic per (kind, n, d, seed). Raises ValueError for an (n, d)
+    whose construction can never give ``kind``, and
+    :class:`GenerationFailed` if the rejection loop misses it otherwise.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
+    if kind == NEGATIVE_CORRELATION:
+        if d < 2:
+            raise ValueError(
+                "negative_correlation needs d >= 2: in one dimension, with both labels present, "
+                "it coincides with orthogonal separability"
+            )
+        # a negative same-class product needs two rows of one class with a
+        # coordinate beyond e1: the positive class has max(1, n // 2) rows
+        # with k = max(1, (d - 1) // 2) such coordinates, the negative class
+        # the other rows with d - 1 - k of them
+        n_plus, k = max(1, n // 2), max(1, (d - 1) // 2)
+        if n_plus < 2 and (n - n_plus < 2 or d - 1 - k < 1):
+            raise ValueError(
+                f"negative_correlation cannot be generated with n={n}, d={d}: "
+                "no class has two rows with a coordinate beyond the first"
+            )
+    if kind == GENERAL and (n < 2 or d < 2):
+        raise ValueError(
+            "general needs n >= 2 and d >= 2: it needs both labels, and in one dimension a positive "
+            "cross-class product puts opposite labels on one unit point, which the separation rule rejects"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([_KINDS.index(kind), n, d, seed]))
     for _ in range(_GEN_TRIES):
         if kind == ORTHO_SEPARABLE:

@@ -162,14 +162,17 @@ def solve_dual_ortho(ds: Dataset, loss: Optional[LossModel] = None, tol: float =
     each block's direction is then a nonnegative combination of its own
     class's rows, so its activations on the other class are <= 0 and the
     two-neuron network of :func:`build_network_ortho` reproduces the block
-    margins exactly.
+    margins exactly. A ``tol`` that is not a finite positive number raises
+    ValueError.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
     loss = loss or LossModel.max_margin()
     cls = classify_dataset(ds)
     if cls.tag != ORTHO_SEPARABLE:
         raise WrongRegime(f"dataset classifies as {cls.tag}")
-    vp, lam_p, u_plus, gap_p = _block_ortho(ds.X_plus, loss, tol)
-    vm, lam_m, u_minus, gap_m = _block_ortho(ds.X_minus, loss, tol)
+    _, lam_p, u_plus, gap_p = _block_ortho(ds.X_plus, loss, tol)
+    _, lam_m, u_minus, gap_m = _block_ortho(ds.X_minus, loss, tol)
     lam = ds.merge_dual(lam_p, lam_m)
     objective = loss.g_total(lam, ds.y)
     # the regime is known, so this is ortho_closed_form without its checks
@@ -181,12 +184,7 @@ def solve_dual_ortho(ds: Dataset, loss: Optional[LossModel] = None, tol: float =
         regime="ortho",
         rho=1.0,
         eps=gap_p + gap_m,
-        meta={
-            "u_plus": u_plus,
-            "u_minus": u_minus,
-            "block_values": (vp, vm),
-            "loss": loss.name,
-        },
+        meta={"u_plus": u_plus, "u_minus": u_minus},
     )
 
 
@@ -292,8 +290,8 @@ def _label_block_dual(ds: Dataset, loss: LossModel, regime: str, rho: float) -> 
     :func:`_checked_constraint`.
     """
     radius = loss.beta
-    vp, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius)
-    vm, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius)
+    _, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius)
+    _, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius)
     lam = ds.merge_dual(lam_p, lam_m)
     return DualCertificate(
         lam=lam,
@@ -302,12 +300,7 @@ def _label_block_dual(ds: Dataset, loss: LossModel, regime: str, rho: float) -> 
         regime=regime,
         rho=rho,
         eps=info_p["eps"] + info_m["eps"],
-        meta={
-            "block_values": (vp, vm),
-            "lam_blocks": (lam_p, lam_m),
-            "block_info": (info_p, info_m),
-            "loss": loss.name,
-        },
+        meta={"lam_blocks": (lam_p, lam_m), "block_info": (info_p, info_m)},
     )
 
 
@@ -364,6 +357,5 @@ def solve_dual_geo(
         raise ValueError("c must lie in (0, 1)")
     rho = (1.0 - c) * SQRT_2_OVER_PI
     cert = _label_block_dual(ds, loss, "geo", rho)
-    cert.meta["c"] = c
     cert.meta["p_derived"] = cert.objective / rho if rho > 0 else math.inf
     return cert

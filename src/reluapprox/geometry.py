@@ -1,54 +1,35 @@
 """Zonotope geometry and exact maximin evaluation of the dual constraint.
 
 A zonotope is the image of the unit box under its generator matrix,
-{A b : b in [0,1]^m}. The dual constraint of the margin problem equals the
-Hausdorff distance between two dual-weighted zonotopes; at desk scale both
-one-sided distances are exact: the outer maximum of a convex function
-over the box is attained at a 0/1 vertex, and the inner distance is a
-finite bounded-variable least squares.
+{A b : b in [0,1]^m}; every routine here takes the d x m matrix A itself.
+The dual constraint of the margin problem equals the Hausdorff distance
+between two dual-weighted zonotopes; at desk scale both one-sided
+distances are exact: the outer maximum of a convex function over the box
+is attained at a 0/1 vertex, and the inner distance is a finite
+bounded-variable least squares (:func:`conic.box_lsq_batch`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .conic import box_lsq_batch
-from .dataset import Dataset
-from .errors import SignViolation, TooLarge
+from .dataset import ORTHO_SEPARABLE, Dataset, classify_dataset
+from .errors import SignViolation, TooLarge, WrongRegime
 
 ENUM_CAP = 20
 
 __all__ = [
-    "Zonotope",
     "MaximinReport",
     "binary_vertices",
-    "project_onto_zonotope",
     "zonotope_vertex_max",
     "hausdorff_distance",
     "dual_constraint_maximin",
     "ortho_closed_form",
 ]
-
-
-@dataclass(frozen=True)
-class Zonotope:
-    """Generators stored as columns of a d x m matrix."""
-
-    generators: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", np.atleast_2d(np.asarray(self.generators, dtype=float)))
-
-    @property
-    def dim(self) -> int:
-        return self.generators.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.generators.shape[1]
 
 
 @dataclass(frozen=True)
@@ -58,7 +39,6 @@ class MaximinReport:
     forward: float
     backward: float
     b_star: np.ndarray
-    side: str = "forward"
 
     @property
     def value(self) -> float:
@@ -74,14 +54,22 @@ def binary_vertices(m: int) -> Iterator[np.ndarray]:
         yield ((idx[:, None] >> ar[None, :]) & 1).astype(float)
 
 
-def project_onto_zonotope(A: np.ndarray, p: np.ndarray) -> tuple[float, np.ndarray]:
-    """Distance from p to the zonotope of A, with the minimizing box point.
+def _vertex_max(m: int, score: Callable[[np.ndarray], np.ndarray]) -> tuple[float, np.ndarray]:
+    """The largest ``score`` over the vertices of [0,1]^m, with the first vertex attaining it.
 
-    One row of :func:`box_lsq_batch`, the exact bounded-variable least
-    squares over the unit box.
+    ``score`` maps a block of vertex rows to one value per row. For m = 0
+    the only vertex is the empty one.
     """
-    B, dist = box_lsq_batch(A, np.asarray(p, float)[None, :])
-    return float(dist[0]), B[0]
+    if m > ENUM_CAP:
+        raise TooLarge(f"{m} generators exceed the enumeration cap {ENUM_CAP}")
+    best_val, best_b = -1.0, None
+    for B in binary_vertices(m):
+        vals = score(B)
+        j = int(np.argmax(vals))
+        if vals[j] > best_val:
+            best_val = float(vals[j])
+            best_b = B[j].copy()
+    return best_val, best_b
 
 
 def zonotope_vertex_max(A: np.ndarray) -> tuple[float, np.ndarray]:
@@ -91,51 +79,23 @@ def zonotope_vertex_max(A: np.ndarray) -> tuple[float, np.ndarray]:
     function is maximized at an extreme point.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    m = A.shape[1]
-    if m > ENUM_CAP:
-        raise TooLarge(f"{m} generators exceed the enumeration cap {ENUM_CAP}")
-    if m == 0:
-        return 0.0, np.zeros(0)
-    best_val, best_b = -1.0, None
-    for B in binary_vertices(m):
-        norms = np.linalg.norm(B @ A.T, axis=1)
-        j = int(np.argmax(norms))
-        if norms[j] > best_val:
-            best_val = float(norms[j])
-            best_b = B[j].copy()
-    return best_val, best_b
+    return _vertex_max(A.shape[1], lambda B: np.linalg.norm(B @ A.T, axis=1))
 
 
 def _one_sided(A_from: np.ndarray, A_to: np.ndarray) -> tuple[float, np.ndarray]:
     """max over vertices v of Z(A_from) of dist(v, Z(A_to))."""
-    m = A_from.shape[1]
-    if m > ENUM_CAP:
-        raise TooLarge(f"{m} generators exceed the enumeration cap {ENUM_CAP}")
-    if m == 0:
-        verts = [np.zeros((1, m))]
-    else:
-        verts = binary_vertices(m)
-    best_val, best_b = -1.0, np.zeros(m)
-    for B in verts:
-        targets = B @ A_from.T
-        _, dists = box_lsq_batch(A_to, targets)
-        j = int(np.argmax(dists))
-        if dists[j] > best_val:
-            best_val = float(dists[j])
-            best_b = B[j].copy()
-    return best_val, best_b
+    return _vertex_max(A_from.shape[1], lambda B: box_lsq_batch(A_to, B @ A_from.T)[1])
 
 
-def hausdorff_distance(Kp: Zonotope, Km: Zonotope) -> tuple[float, MaximinReport]:
-    """Exact Hausdorff distance between two zonotopes at desk scale."""
-    Ap, Am = Kp.generators, Km.generators
+def hausdorff_distance(Ap: np.ndarray, Am: np.ndarray) -> MaximinReport:
+    """Exact Hausdorff distance between the zonotopes of two d x m matrices, at desk scale.
+
+    The distance is the report's ``value``; ``b_star`` is the vertex
+    attaining the larger one-sided distance (the forward one on a tie).
+    """
     fwd, b_fwd = _one_sided(Ap, Am)
     bwd, b_bwd = _one_sided(Am, Ap)
-    if fwd >= bwd:
-        report = MaximinReport(forward=fwd, backward=bwd, b_star=b_fwd, side="forward")
-    else:
-        report = MaximinReport(forward=fwd, backward=bwd, b_star=b_bwd, side="backward")
-    return report.value, report
+    return MaximinReport(forward=fwd, backward=bwd, b_star=b_fwd if fwd >= bwd else b_bwd)
 
 
 def dual_constraint_maximin(ds: Dataset, lam: np.ndarray) -> MaximinReport:
@@ -154,9 +114,7 @@ def dual_constraint_maximin(ds: Dataset, lam: np.ndarray) -> MaximinReport:
     lam_p, lam_m = ds.split_dual(lam)
     lam_p = np.maximum(lam_p, 0.0)
     lam_m = np.maximum(lam_m, 0.0)
-    Kp = Zonotope(ds.X_plus.T * lam_p[None, :])
-    Km = Zonotope(ds.X_minus.T * lam_m[None, :])
-    return hausdorff_distance(Kp, Km)[1]
+    return hausdorff_distance(ds.X_plus.T * lam_p[None, :], ds.X_minus.T * lam_m[None, :])
 
 
 def ortho_closed_form(ds: Dataset, lam: np.ndarray) -> tuple[float, float]:
@@ -167,9 +125,6 @@ def ortho_closed_form(ds: Dataset, lam: np.ndarray) -> tuple[float, float]:
     ||X_+' lam_+||_2 at the all-ones vertex (and symmetrically for the
     backward side).
     """
-    from .dataset import ORTHO_SEPARABLE, classify_dataset
-    from .errors import WrongRegime
-
     cls = classify_dataset(ds)
     if cls.tag != ORTHO_SEPARABLE:
         raise WrongRegime(f"dataset classifies as {cls.tag}, not orthogonal separable")

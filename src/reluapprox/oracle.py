@@ -1,8 +1,9 @@
 """Exact desk-scale ground truth via activation-pattern enumeration.
 
-Enumerating the 0/1 patterns I(X w >= 0) of the hyperplane arrangement
-turns the two-layer training problem into a finite convex program whose
-value is exact for wide enough networks. These programs certify every
+Enumerating the cells of the data's hyperplane arrangement, each as its
+0/1 pattern I(X w >= 0) with a vector w strictly inside it, turns the
+two-layer training problem into a finite convex program whose value is
+exact for wide enough networks. These programs certify every
 approximation module in the package; they do not scale past desk size and
 are not meant to.
 """
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conic import MinSumNormsProblem, project_polyhedral_cone, solve_min_sum_norms
+from .conic import MinSumNormsProblem, _project_cones, solve_min_sum_norms
 from .dataset import Dataset, LossModel
 from .errors import CapExceeded, CertificateViolation, Infeasible, Unbounded
 
@@ -33,25 +34,18 @@ __all__ = [
 
 @dataclass
 class PatternSet:
-    """Distinct activation masks with a verified realizing vector each.
+    """The cells of the arrangement, one activation mask and realizing vector each.
 
-    ``masks`` rows are 0/1; ``realizers`` rows satisfy
-    I(X w >= 0) == mask exactly in floating point. Masks realized with all
-    inequalities strict come first (``strict_count`` of them); any
-    boundary-tie masks, which a swept candidate realized only with an exact
-    zero product, follow.
+    ``masks`` rows are 0/1, in lexicographic order; each ``realizers`` row
+    w gives I(X w >= 0) == mask with every product X w nonzero, exactly in
+    floating point. ``len`` is the number of cells.
     """
 
     masks: np.ndarray
     realizers: np.ndarray
-    strict_count: int
 
     def __len__(self) -> int:
         return self.masks.shape[0]
-
-    def strict(self) -> "PatternSet":
-        k = self.strict_count
-        return PatternSet(self.masks[:k], self.realizers[:k], k)
 
 
 def _pattern_of(X: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -120,25 +114,26 @@ def _stacked(blocks, rows: int):
 
 
 def enumerate_patterns(X: np.ndarray) -> PatternSet:
-    """Enumerate the distinct masks I(X w >= 0) over all w.
+    """Enumerate the cells of the arrangement {x_i' w = 0}, as masks I(X w >= 0).
 
-    Works in the row space of X (patterns only depend on that component of
-    w). Strict cells come from the arrangement sweep: for each independent
-    (rank-1-deficient) subset of rows, perturb the null direction to both
-    sides in all sign combinations. A random top-up of Gaussian directions
-    guards degenerate arrangements; it is drawn only when the sweep found
-    fewer strict cells than Zaslavsky's bound. A boundary mask is kept only
-    when a candidate realizes it exactly; w = 0 is not a candidate. More
-    than PATTERN_CAP masks, or a sweep too large for that cap, raise
+    A cell's w lies off every hyperplane. Works in the row space of X
+    (patterns only depend on that component of w). Cells come from the
+    arrangement sweep: for each independent (rank-1-deficient) subset of
+    rows, perturb the null direction to both sides in all sign
+    combinations. A random top-up of Gaussian directions guards degenerate
+    arrangements; it is drawn only when the sweep found fewer cells than
+    Zaslavsky's bound. A candidate with a zero product lies on a
+    hyperplane and is dropped; a zero row of X leaves no cell at all. More
+    than PATTERN_CAP cells, or a sweep too large for that cap, raise
     :class:`CapExceeded`.
 
     The candidates are classified in batches, one product
     P = (C basis') X' each (up to 8 MB of P), and the masks deduplicated
-    with ``np.unique``: the first strict candidate of a mask is kept, else
-    its first candidate. A candidate with a product near zero (within
-    twice the rounding bound) is redone alone as X @ (basis @ wr), and each
-    realizer is computed as basis @ wr, so the result is bit for bit that
-    of classifying the candidates one at a time.
+    with ``np.unique``, keeping the first candidate of each mask. A
+    candidate with a product near zero (within twice the rounding bound)
+    is redone alone as X @ (basis @ wr), and each realizer is computed as
+    basis @ wr, so the result is bit for bit that of classifying the
+    candidates one at a time.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n, d = X.shape
@@ -156,19 +151,19 @@ def enumerate_patterns(X: np.ndarray) -> PatternSet:
     # x_i'w to within about (d + r^1.5) eps |x_i| |w|. An entry of P within
     # twice that (with margin: 4 (d + r^2) eps, and at least 64 eps) may
     # round to another sign, or to zero, one candidate at a time; such
-    # candidates are redone that way, so every mask and strict flag is the
+    # candidates are redone that way, so every mask and every drop is the
     # one-candidate result.
     tie = max(64, 4 * (d + r * r)) * np.finfo(float).eps * np.linalg.norm(X, axis=1)
     batch = max(1, 2**20 // n)  # candidates per product, so P stays within 8 MB
     bound = 2 * sum(math.comb(n - 1, kk) for kk in range(r))  # Zaslavsky: cells of n hyperplanes in R^r
-    seen: dict[bytes, tuple[np.ndarray, np.ndarray, bool]] = {}
+    seen: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def candidates():
         yield from _stacked(_sweep_directions(Xr, r), batch)
-        # Only n hyperplanes in general position reach the bound, and there
-        # every tie mask is also a strict cell's: the top-up could add no mask
-        # and no strict flag, so it is drawn only below the bound.
-        if r > 1 and sum(strict for _, _, strict in seen.values()) < bound:
+        # n hyperplanes in general position cut R^r into exactly the bound's
+        # count of cells: at the bound the top-up could add none, so it is
+        # drawn only below it
+        if r > 1 and len(seen) < bound:
             yield _random_directions(n, r, np.random.default_rng(0))
 
     for C in candidates():
@@ -178,57 +173,52 @@ def enumerate_patterns(X: np.ndarray) -> PatternSet:
         strict = np.ones(len(C), dtype=bool)
         for c in np.flatnonzero(np.any(np.abs(P) <= np.linalg.norm(W, axis=1)[:, None] * tie, axis=1)):
             masks[c], strict[c] = _pattern_of(X, basis @ C[c])
-        # the first strict candidate of each mask, else its first candidate
-        order = np.argsort(~strict, kind="stable")
-        packed = np.packbits(masks[order], axis=1)  # one opaque item per row sorts fast
-        for c in order[np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_index=True)[1]]:
+        # the first candidate of each mask inside a cell
+        inside = np.flatnonzero(strict)
+        packed = np.packbits(masks[inside], axis=1)  # one opaque item per row sorts fast
+        for c in inside[np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_index=True)[1]]:
             key = masks[c].tobytes()
-            if key not in seen or (strict[c] and not seen[key][2]):
-                seen[key] = (masks[c].copy(), C[c].copy(), bool(strict[c]))
+            if key not in seen:
+                seen[key] = (masks[c].copy(), C[c].copy())
         if len(seen) > PATTERN_CAP:
             raise CapExceeded(f"more than {PATTERN_CAP} patterns")
-    # realizers in full space, each as one product: the stored pair must verify
-    seen = {key: (mask, basis @ wr, strict) for key, (mask, wr, strict) in seen.items()}
 
-    entries = sorted(seen.values(), key=lambda e: (not e[2], tuple(e[0])))
-    strict_count = sum(1 for e in entries if e[2])
-    masks = np.array([e[0] for e in entries], dtype=np.int8)
-    realizers = np.array([e[1] for e in entries], dtype=float)
-    # every stored pair must verify exactly
-    for mask, w in zip(masks, realizers):
-        chk = (X @ w >= 0.0).astype(np.int8)
-        if not np.array_equal(chk, mask):
-            raise CertificateViolation("pattern realization check failed")
-    if strict_count > bound:
-        raise CertificateViolation(f"{strict_count} strict cells exceed the arrangement bound {bound}")
-    return PatternSet(masks=masks, realizers=realizers, strict_count=strict_count)
+    entries = sorted(seen.values(), key=lambda e: tuple(e[0]))
+    masks = np.array([mask for mask, _ in entries], dtype=np.int8).reshape(-1, n)  # (0, n) with no cell
+    # realizers in full space, each as one product: every stored pair must
+    # verify exactly, with each product X @ w nonzero and of its mask's sign
+    realizers = np.array([basis @ wr for _, wr in entries], dtype=float).reshape(-1, d)
+    prods = np.array([X @ w for w in realizers]).reshape(-1, n)
+    if not np.array_equal(np.sign(prods), 2 * masks - 1):
+        raise CertificateViolation("pattern realization check failed")
+    if len(seen) > bound:
+        raise CertificateViolation(f"{len(seen)} cells exceed the arrangement bound {bound}")
+    return PatternSet(masks=masks, realizers=realizers)
 
 
 def pattern_constraint_value(ds: Dataset, lam: np.ndarray, patterns: Optional[PatternSet] = None) -> float:
     """Dual-constraint value max_u |lam'(Xu)_+| via cone-restricted patterns.
 
-    For each strict pattern M the inner maximization of |lam' M X u| over
+    For each cell's pattern M the inner maximization of |lam' M X u| over
     the unit ball intersected with the cone (2M - I) X u >= 0 equals the
     norm of the projection of X'(m * lam) onto that cone; the overall value
-    is the maximum over patterns and both signs. Independent of (and cross-
-    checked against) the zonotope maximin route.
+    is the maximum over patterns and both signs, every projection in one
+    batch. Independent of (and cross-checked against) the zonotope maximin
+    route.
     """
     X = ds.X
     lam = np.asarray(lam, dtype=float)
     if patterns is None:
         patterns = enumerate_patterns(X)
-    best = 0.0
-    for mask in patterns.strict().masks:
-        v = X.T @ (mask * lam)
-        rows = (2.0 * mask - 1.0)[:, None] * X
-        for sign in (1.0, -1.0):
-            val = float(np.linalg.norm(project_polyhedral_cone(sign * v, rows)))
-            best = max(best, val)
-    return best
+    M = patterns.masks.astype(float)
+    V = (M * lam) @ X
+    S = 2.0 * M - 1.0
+    P = _project_cones(np.vstack([V, -V]), np.vstack([S, S]), X)
+    return float(np.linalg.norm(P, axis=1).max(initial=0.0))
 
 
 def _nonzero_masks(patterns: PatternSet) -> np.ndarray:
-    masks = patterns.strict().masks.astype(float)
+    masks = patterns.masks.astype(float)
     return masks[np.any(masks != 0, axis=1)]  # the all-off pattern contributes nothing
 
 
@@ -250,7 +240,7 @@ def _gated_problem(ds: Dataset, loss: LossModel, patterns: PatternSet) -> MinSum
 class ExactPrimal:
     value: float
     blocks: np.ndarray
-    masks: np.ndarray
+    masks: np.ndarray  # the 0/1 pattern of each block, row for row
     lam: np.ndarray  # margin multipliers diag(y) lam >= 0
     arch: str
     gap: float
@@ -267,9 +257,11 @@ def exact_primal(
 
     ``arch='relu'`` solves the cone-constrained program (the value of the
     nonconvex ReLU problem for wide enough networks); ``arch='gated'``
-    drops the cone constraints, which can only decrease the value. Strict
-    patterns are used: a gate that sits exactly on a hyperplane contributes
-    zero on its tie rows, so strict cells already represent every network.
+    drops the cone constraints, which can only decrease the value. The
+    cells' patterns are used: a gate that sits exactly on a hyperplane
+    contributes zero on its tie rows, so the cells already represent every
+    network. ``masks`` holds each block's pattern: for ``relu`` the nonzero
+    patterns twice, for the blocks of either output sign.
     """
     loss = loss or LossModel.max_margin()
     if patterns is None:
@@ -284,7 +276,7 @@ def exact_primal(
     return ExactPrimal(
         value=res.value,
         blocks=res.blocks,
-        masks=patterns.strict().masks,
+        masks=(prob.row_weights != 0.0).astype(np.int8),
         lam=res.lam,
         arch=arch,
         gap=res.gap,

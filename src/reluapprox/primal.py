@@ -270,11 +270,8 @@ def solve_primal_negcorr(
 
     sides = []
     ks = []
-    for side, (Xb, idx, lam_b, info, guard) in enumerate(
-        (
-            (ds.X_plus, ds.pos_idx, lam_p, info_p, ds.X_minus),
-            (ds.X_minus, ds.neg_idx, lam_m, info_m, ds.X_plus),
-        )
+    for side, (Xb, lam_b, info, guard) in enumerate(
+        ((ds.X_plus, lam_p, info_p, ds.X_minus), (ds.X_minus, lam_m, info_m, ds.X_plus))
     ):
         nb = Xb.shape[0]
         if nb == 0:

@@ -227,6 +227,16 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cmd,tol", [("solve", "nan"), ("solve", "0"), ("solve", "-1"), ("oracle", "-1")])
+def test_tol_not_finite_positive_exit_2(capsys, toy_csv, cmd, tol):
+    # solve --tol nan certified without a gap check; a negative tol ran a
+    # full solve and then exited 4 with NonConvergence
+    code, out = run_cli(capsys, cmd, "--input", toy_csv, "--tol", tol)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError" and "tol" in error["message"]
+
+
 def test_removed_eps_flag_is_usage_error(capsys, tmp_path):
     # --eps is gone; it must not be taken as an abbreviation of --eps0
     ds = generate_synthetic("general", 7, 2, seed=0)

@@ -11,7 +11,6 @@ from reluapprox import conic
 from reluapprox.conic import (
     MinSumNormsProblem,
     box_lsq_batch,
-    project_polyhedral_cone,
     solve_min_sum_norms,
 )
 from reluapprox.dataset import Dataset, LossModel, generate_synthetic
@@ -81,7 +80,7 @@ def test_cone_projection_against_sampling():
         n, d = int(rng.integers(2, 7)), int(rng.integers(2, 4))
         rows = rng.standard_normal((n, d))
         v = rng.standard_normal(d) * 2
-        proj = project_polyhedral_cone(v, rows)
+        proj = conic._project_cones(v[None, :], np.ones((1, n)), rows)[0]
         assert np.all(rows @ proj >= -1e-9)
         # projection norm equals the cone-restricted support value
         u = rng.standard_normal((50000, d))
@@ -144,7 +143,8 @@ def test_project_cones_matches_per_block_and_enumeration():
         for v, s, p in zip(V, signs, P):
             rows = s[:, None] * X
             mu = _nnls_by_enumeration(rows.T, -v)
-            for ref in (project_polyhedral_cone(v, rows), v + rows.T @ mu):
+            # the batch must give each row's projection on its own
+            for ref in (conic._project_cones(v[None, :], s[None, :], X)[0], v + rows.T @ mu):
                 assert np.linalg.norm(p - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
             if kind == "inside":
                 assert np.array_equal(p, v)
@@ -169,8 +169,6 @@ def test_project_cones_raises_typed_error(monkeypatch):
             conic._nnls_small(X.T, -v)
         with pytest.raises(NonConvergence):
             conic._least_distance(X)
-        with pytest.raises(NonConvergence):
-            project_polyhedral_cone(v, X)
         with pytest.raises(NonConvergence):
             conic._project_cones(np.array([v, [1.0, 1.0]]), np.ones((2, 3)), X)
 
@@ -264,6 +262,13 @@ def test_msn_infeasible_margin_raises():
         solve_min_sum_norms(prob)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_msn_rejects_tol_that_is_not_finite_positive(tol):
+    prob = MinSumNormsProblem.from_masks(np.array([[1.0, 0.0]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="tol"):
+        solve_min_sum_norms(prob, tol=tol)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.integers(3, 8),
@@ -315,7 +320,7 @@ def test_msn_certified_property(n, d, k, seed, loss_name, beta, cones):
         if cones:
             rows = prob.cone_signs[i][:, None] * X
             assert (rows @ U[i]).min() >= -1e-9 * row_scale * (1.0 + norms[i])
-            v = project_polyhedral_cone(v, rows)
+            v = v + rows.T @ _nnls_by_enumeration(rows.T, -v)
         assert np.linalg.norm(v) <= budget * (1.0 + 1e-9)
     assert res.value - res.dual_value <= tol * (1.0 + abs(res.value))
     if k == 1 and not cones and not loss.penalized:

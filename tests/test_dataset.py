@@ -145,6 +145,25 @@ def test_generate_classifies_as_requested(kind, n, d, seed):
     assert classify_dataset(ds, tol=0.0).tag == kind
 
 
+def test_generate_rejects_cells_it_cannot_fill():
+    # negative correlation needs a class with two rows that can meet at an
+    # obtuse angle; general data needs both labels and a second dimension.
+    # Every other cell of the grid is filled.
+    for n in range(1, 7):
+        for d in range(1, 5):
+            never = {
+                ORTHO_SEPARABLE: False,
+                NEGATIVE_CORRELATION: d == 1 or n <= 2 or (n, d) == (3, 2),
+                GENERAL: n == 1 or d == 1,
+            }
+            for kind, impossible in never.items():
+                if impossible:
+                    with pytest.raises(ValueError, match=kind):
+                        generate_synthetic(kind, n, d, seed=0)
+                else:
+                    assert classify_dataset(generate_synthetic(kind, n, d, seed=0)).tag == kind
+
+
 def test_generate_deterministic():
     a = generate_synthetic(ORTHO_SEPARABLE, 8, 3, 7)
     b = generate_synthetic(ORTHO_SEPARABLE, 8, 3, 7)

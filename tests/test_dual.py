@@ -71,6 +71,14 @@ def test_ortho_wrong_regime():
         solve_dual_ortho(ds)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_ortho_rejects_tol_that_is_not_finite_positive(tol):
+    # a nan tol made the block gap check always pass
+    ds = Dataset([[1.0], [-1.0]], [1, -1])
+    with pytest.raises(ValueError, match="tol"):
+        solve_dual_ortho(ds, tol=tol)
+
+
 def test_negcorr_two_point_line_exact():
     # one-point blocks make the SDP surrogate exact: objective -> 2
     ds = Dataset([[1.0], [-1.0]], [1, -1])

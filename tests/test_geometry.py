@@ -4,35 +4,33 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from reluapprox.conic import box_lsq_batch
 from reluapprox.dataset import Dataset, generate_synthetic
 from reluapprox.errors import SignViolation, TooLarge, WrongRegime
 from reluapprox.geometry import (
-    MaximinReport,
-    Zonotope,
     dual_constraint_maximin,
     hausdorff_distance,
     ortho_closed_form,
-    project_onto_zonotope,
     zonotope_vertex_max,
 )
 
 
 def test_project_corner():
-    dist, b = project_onto_zonotope(np.eye(2), np.array([2.0, 2.0]))
-    assert np.allclose(b, [1.0, 1.0])
-    assert abs(dist - math.sqrt(2.0)) < 1e-12
+    B, dist = box_lsq_batch(np.eye(2), np.array([[2.0, 2.0]]))
+    assert np.allclose(B[0], [1.0, 1.0])
+    assert abs(dist[0] - math.sqrt(2.0)) < 1e-12
 
 
 def test_project_interior():
-    dist, b = project_onto_zonotope(np.eye(2), np.array([0.3, 0.7]))
-    assert dist < 1e-12
-    assert np.allclose(b, [0.3, 0.7])
+    B, dist = box_lsq_batch(np.eye(2), np.array([[0.3, 0.7]]))
+    assert dist[0] < 1e-12
+    assert np.allclose(B[0], [0.3, 0.7])
 
 
 def test_project_vs_grid():
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     p = np.array([3.0, 0.0])
-    dist, _ = project_onto_zonotope(A, p)
+    dist = box_lsq_batch(A, p[None, :])[1][0]
     grid = np.linspace(0, 1, 51)
     mesh = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
     want = np.linalg.norm(mesh @ A.T - p, axis=1).min()
@@ -57,6 +55,12 @@ def test_vertex_max_cancelling_generators():
     assert b.sum() == 1.0  # either single generator, never both
 
 
+def test_vertex_max_no_generators():
+    # the box [0,1]^0 has one vertex, the empty one
+    val, b = zonotope_vertex_max(np.zeros((2, 0)))
+    assert val == 0.0 and b.shape == (0,)
+
+
 def test_vertex_max_cap():
     with pytest.raises(TooLarge):
         zonotope_vertex_max(np.ones((2, 25)))
@@ -73,17 +77,17 @@ def test_vertex_attainment_interior_never_beats_vertices():
 
 
 def test_hausdorff_zero_counterpart():
-    Kp = Zonotope(np.array([[1.0, 0.3], [0.0, 1.0]]))
-    Km = Zonotope(np.zeros((2, 0)))
-    val, report = hausdorff_distance(Kp, Km)
-    vmax, _ = zonotope_vertex_max(Kp.generators)
-    assert abs(val - vmax) < 1e-9
+    Ap = np.array([[1.0, 0.3], [0.0, 1.0]])
+    report = hausdorff_distance(Ap, np.zeros((2, 0)))
+    vmax, b = zonotope_vertex_max(Ap)
+    assert abs(report.value - vmax) < 1e-9
+    assert np.array_equal(report.b_star, b)  # the forward side's vertex
+    assert report.backward == 0.0  # the empty zonotope's one vertex is the origin
 
 
 def test_hausdorff_identical_sets():
-    K = Zonotope(np.array([[1.0, 0.5], [0.2, -0.4]]))
-    val, _ = hausdorff_distance(K, K)
-    assert val < 1e-8
+    A = np.array([[1.0, 0.5], [0.2, -0.4]])
+    assert hausdorff_distance(A, A).value < 1e-8
 
 
 def test_hausdorff_vs_grid_oracle():
@@ -92,7 +96,7 @@ def test_hausdorff_vs_grid_oracle():
     for _ in range(3):
         Ap = rng.standard_normal((2, 3))
         Am = rng.standard_normal((2, 3))
-        val, _ = hausdorff_distance(Zonotope(Ap), Zonotope(Am))
+        val = hausdorff_distance(Ap, Am).value
         mesh = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), -1).reshape(-1, 3)
         Pp = mesh @ Ap.T
         Pm = mesh @ Am.T
@@ -109,7 +113,7 @@ def test_triangle_inequality_vs_origin():
     for _ in range(10):
         Ap = rng.standard_normal((2, 4))
         Am = rng.standard_normal((2, 4))
-        h, _ = hausdorff_distance(Zonotope(Ap), Zonotope(Am))
+        h = hausdorff_distance(Ap, Am).value
         hp, _ = zonotope_vertex_max(Ap)
         hm, _ = zonotope_vertex_max(Am)
         assert h >= abs(hp - hm) - 1e-9

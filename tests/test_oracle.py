@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reluapprox import oracle
+from reluapprox.conic import CONE_FEAS_RTOL
 from reluapprox.dataset import Dataset, LossModel, generate_synthetic
 from reluapprox.errors import Unbounded
 from reluapprox.geometry import dual_constraint_maximin
@@ -22,13 +23,13 @@ def test_patterns_one_dimensional():
     pats = enumerate_patterns(np.array([[1.0], [-1.0]]))
     masks = {tuple(int(v) for v in m) for m in pats.masks}
     assert masks == {(1, 0), (0, 1)}  # (1,1) needs the w=0 tie, which is no cell
-    assert pats.strict_count == 2
+    assert len(pats) == 2
 
 
 def test_patterns_two_generic_lines():
     X = np.array([[1.0, 0.3], [0.2, -1.0]])
     pats = enumerate_patterns(X)
-    assert pats.strict_count == 4  # two lines cut the plane into four cells
+    assert len(pats) == 4  # two lines cut the plane into four cells
 
 
 def test_patterns_realization_exact():
@@ -48,11 +49,11 @@ def test_patterns_count_bound():
         X = rng.standard_normal((n, d))
         pats = enumerate_patterns(X)
         bound = 2 * sum(math.comb(n - 1, k) for k in range(d))
-        assert pats.strict_count <= bound
+        assert len(pats) <= bound
 
 
 def _patterns_one_by_one(X):
-    """enumerate_patterns as one product X @ (basis @ wr) per candidate, kept first-seen."""
+    """enumerate_patterns one candidate at a time, X @ (basis @ wr): the first strict one per mask."""
     _, s, vt = np.linalg.svd(X, full_matrices=False)
     r = int(np.sum(s > 1e-12 * s[0]))
     basis = vt[:r].T
@@ -61,13 +62,25 @@ def _patterns_one_by_one(X):
         for wr in block:
             w = basis @ wr
             prods = X @ w
-            mask, strict = (prods >= 0.0).astype(np.int8), bool(np.all(prods != 0.0))
+            mask = (prods >= 0.0).astype(np.int8)
             key = mask.tobytes()
-            if key not in seen or (strict and not seen[key][2]):
-                seen[key] = (mask, w, strict)
-    entries = sorted(seen.values(), key=lambda e: (not e[2], tuple(e[0])))
-    masks = np.array([e[0] for e in entries], dtype=np.int8)
-    return masks, np.array([e[1] for e in entries]), sum(e[2] for e in entries)
+            if np.all(prods != 0.0) and key not in seen:
+                seen[key] = (mask, w)
+    entries = sorted(seen.values(), key=lambda e: tuple(e[0]))
+    masks = np.array([e[0] for e in entries], dtype=np.int8).reshape(-1, X.shape[0])
+    return masks, np.array([e[1] for e in entries]).reshape(-1, X.shape[1])
+
+
+def _arrangement_data(n, d, seed, kind):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d))
+    if kind == "rounded":  # ties and repeated rows
+        X = np.round(X, 1)
+        X[0] += float(not X.any())
+    elif kind == "antipodal":  # rows opposite to others up to 1e-9
+        half = n // 2
+        X[half : 2 * half] = -X[:half] + 1e-9 * rng.standard_normal((half, d))
+    return X
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -78,20 +91,28 @@ def _patterns_one_by_one(X):
     kind=st.sampled_from(["random", "rounded", "antipodal"]),
 )
 def test_patterns_batched_match_one_by_one(n, d, seed, kind):
-    # the batched product must give every mask, realizer and strict flag bit for bit
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, d))
-    if kind == "rounded":  # ties and repeated rows
-        X = np.round(X, 1)
-        X[0] += float(not X.any())
-    elif kind == "antipodal":  # rows opposite to others up to 1e-9
-        half = n // 2
-        X[half : 2 * half] = -X[:half] + 1e-9 * rng.standard_normal((half, d))
+    # the batched product must give every mask and realizer bit for bit
+    X = _arrangement_data(n, d, seed, kind)
     pats = enumerate_patterns(X)
-    masks, realizers, strict_count = _patterns_one_by_one(X)
+    masks, realizers = _patterns_one_by_one(X)
     assert pats.masks.dtype == masks.dtype and np.array_equal(pats.masks, masks)
     assert pats.realizers.shape == realizers.shape and pats.realizers.tobytes() == realizers.tobytes()
-    assert pats.strict_count == strict_count
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 9),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["rounded", "antipodal"]),
+)
+@example(n=7, d=2, seed=33, kind="rounded")  # a tie mask beside 12 cells
+@example(n=7, d=4, seed=33, kind="antipodal")  # a tie mask beside 82 cells
+def test_patterns_realizers_lie_inside_cells(n, d, seed, kind):
+    # tied data puts many candidates on a hyperplane; none of them may be kept
+    X = _arrangement_data(n, d, seed, kind)
+    for w in enumerate_patterns(X).realizers:
+        assert np.all(X @ w != 0.0)
 
 
 def test_patterns_top_up_only_below_zaslavsky_bound(monkeypatch):
@@ -106,7 +127,7 @@ def test_patterns_top_up_only_below_zaslavsky_bound(monkeypatch):
     monkeypatch.setattr(oracle, "_random_directions", spy)
     X = np.random.default_rng(4).standard_normal((8, 3))
     pats = enumerate_patterns(X)
-    assert pats.strict_count == 2 * sum(math.comb(7, k) for k in range(3)) and draws == []
+    assert len(pats) == 2 * sum(math.comb(7, k) for k in range(3)) and draws == []
     X[1] = 2.0 * X[0]  # one hyperplane twice: fewer cells than the bound
     enumerate_patterns(X)
     assert draws == [(8, 3)]
@@ -137,6 +158,27 @@ def test_exact_dual_unbounded_when_infeasible():
     ds = Dataset([[1.0], [1.0]], [1, -1])
     with pytest.raises(Unbounded):
         exact_dual(ds)
+
+
+def test_exact_primal_masks_line_up_with_blocks():
+    # row i of masks is the pattern of blocks[i]: relu has one block per
+    # nonzero pattern and output sign, gated one per nonzero pattern
+    ds = generate_synthetic("general", 8, 3, seed=2)
+    patterns = enumerate_patterns(ds.X)
+    nonzero = patterns.masks[patterns.masks.any(axis=1)]
+    gated = exact_primal(ds, arch="gated", patterns=patterns)
+    assert np.array_equal(gated.masks, nonzero) and len(gated.blocks) == len(nonzero)
+    relu = exact_primal(ds, arch="relu", patterns=patterns)
+    assert np.array_equal(relu.masks, np.vstack([nonzero, nonzero])) and len(relu.blocks) == 2 * len(nonzero)
+    # each nonzero relu block lies in its own mask's cone
+    row_scale = 1.0 + np.linalg.norm(ds.X, axis=1).max()
+    active = 0
+    for mask, u in zip(relu.masks, relu.blocks):
+        if np.any(u != 0.0):
+            active += 1
+            slack = (2.0 * mask - 1.0) * (ds.X @ u)
+            assert slack.min() >= -CONE_FEAS_RTOL * row_scale * (1.0 + np.linalg.norm(u))
+    assert active > 0
 
 
 def test_gated_at_most_relu():
