@@ -108,7 +108,7 @@ def _cmd_classify(args, argv) -> int:
 
 
 def _solve_ortho(ds, loss, args):
-    cert = solve_dual_ortho(ds, loss, tol=args.tol)
+    cert = solve_dual_ortho(ds, loss, tol=1e-8 if args.tol is None else args.tol)
     u_plus = cert.meta["u_plus"] if ds.n_plus else None
     u_minus = cert.meta["u_minus"] if ds.n_minus else None
     net = build_network_ortho(u_plus, u_minus)
@@ -155,6 +155,9 @@ def _cmd_solve(args, argv) -> int:
         method = {"orthogonal_separable": "ortho", "negative_correlation": "negcorr"}.get(
             cls.tag, "geo"
         )
+    if args.tol is not None and method != "ortho":
+        # only the cone programs of --method ortho read a gap tolerance
+        raise ValueError(f"--tol applies to --method ortho only; --method {method} takes no tolerance")
     t0 = time.perf_counter()
     solver = {"ortho": _solve_ortho, "negcorr": _solve_negcorr, "geo": _solve_geo}[method]
     p, cert, net, rho_claim, diag = solver(ds, loss, args)
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve by regime and emit a certified result", allow_abbrev=False)
     p.add_argument("--input", required=True, help="dataset CSV or JSON")
     loss_flags(p)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=None, help="certified relative gap for --method ortho (default 1e-8)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.add_argument("--method", default="auto", choices=["auto", "ortho", "negcorr", "geo"])

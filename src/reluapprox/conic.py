@@ -9,20 +9,22 @@ is solved by a primal-dual interior-point method with Nesterov-Todd
 scaling; each Newton step factors a square-root matrix that is upper
 triangular but for a few dense rows, by LAPACK's triangular-pentagonal QR,
 and applies the cone operators slice by slice on flat vectors. The master
-is priced against every block's dual constraint, evaluated exactly for all
-blocks at once (with cone rows, by an NNLS projection of each block onto
-its cone), and the solver stops on a *certified* duality gap of the
-full program: the primal blocks are scaled to exact feasibility and the
-master's multipliers into their constraint set, so the reported gap is a
-true bound however accurately the master was solved. A master is first
-offered for pricing at an early, well-centred iterate (error 1e-2, as in
-the primal-dual column generation of Gondzio, Gonzalez-Brevis and Munari,
-EJOR 224, 2013); a round that prices new blocks there ends early, and
-only a master that prices none runs to completion and is certified. A
-margin program without cone rows first tries one block coupled to every
-row, a least-distance problem solved exactly by Lawson and Hanson's NNLS;
-that block often certifies alone, and otherwise keeps every master
-feasible without the phase-1 LP. The semidefinite programs (the Max-Cut relaxation
+is priced against every block's dual constraint, evaluated for all blocks
+at once and exactly wherever it can exceed the budget (with cone rows, by
+an NNLS projection of each such block onto its cone), and the solver
+stops on a *certified* duality gap of the full program: the primal blocks
+are scaled to exact feasibility and the master's multipliers into their
+constraint set, so the reported gap is a true bound however accurately
+the master was solved. A master is first offered for pricing at an early,
+well-centred iterate (error 1e-2, as in the primal-dual column generation
+of Gondzio, Gonzalez-Brevis and Munari, EJOR 224, 2013); a round that
+prices new blocks there ends early and drops the blocks whose norm is
+negligible at that iterate (column deletion), and only a master that
+prices none runs to completion and is certified. A margin program without
+cone rows first tries one block coupled to every row, a least-distance
+problem solved exactly by Lawson and Hanson's NNLS; that block often
+certifies alone, and otherwise keeps every master feasible without the
+phase-1 LP. The semidefinite programs (the Max-Cut relaxation
 and the block surrogate dual) share one primal-dual interior-point loop;
 its callers certify what it returns.
 """
@@ -321,17 +323,22 @@ def _repair_cones(prob: MinSumNormsProblem, U: np.ndarray) -> np.ndarray:
     return U
 
 
-def _dual_block_values(prob: MinSumNormsProblem, lam: np.ndarray) -> np.ndarray:
-    """Per-block dual constraint values theta_i = sup_{u in K_i, |u|<=1} lam' F_i u.
+def _dual_block_values(prob: MinSumNormsProblem, lam: np.ndarray, budget: float) -> np.ndarray:
+    """Per-block dual constraint values theta_i = sup_{u in K_i, |u|<=1} lam' F_i u, exact above ``budget``.
 
-    Without cones these are ||F_i' lam||; with cones, the norm of the
-    projection of F_i' lam onto the block's cone, every block's exactly, by
-    :func:`_project_cones`.
+    Without cones these are ||F_i' lam||. With cones, a block whose
+    ||F_i' lam|| exceeds the budget gets the norm of the projection of
+    F_i' lam onto its cone, by :func:`_project_cones`; the others keep
+    ||F_i' lam||, an upper bound within the budget, since a projection never
+    lengthens a vector. So the blocks above the budget and their values are
+    those of projecting every block.
     """
     V = (prob.row_weights * lam[None, :]) @ prob.X  # k x d, rows F_i' lam
+    theta = np.linalg.norm(V, axis=1)
     if prob.cone_signs is not None:
-        V = _project_cones(V, prob.cone_signs, prob.X)
-    return np.linalg.norm(V, axis=1)
+        over = np.flatnonzero(theta > budget)
+        theta[over] = np.linalg.norm(_project_cones(V[over], prob.cone_signs[over], prob.X), axis=1)
+    return theta
 
 
 def _cone_violation(prob, U) -> float:
@@ -347,10 +354,11 @@ def _cone_violation(prob, U) -> float:
 def _certify(prob, U, lam_raw, beta_norm):
     """Return (primal value, dual value, feasible U, feasible lam, theta).
 
-    ``theta`` holds every block's exact :func:`_dual_block_values` at
-    lam_raw clipped to [0, box_upper], before the scaling into the dual
-    constraint; it is None when a cone violation ends the penalized
-    certification first.
+    ``theta`` holds every block's :func:`_dual_block_values` at lam_raw
+    clipped to [0, box_upper], before the scaling into the dual constraint,
+    with the budget 1 of the margin program or beta_norm: exact above it,
+    so the scaling is that of the exact values. It is None when a cone
+    violation ends the penalized certification first.
     """
     X, RW = prob.X, prob.row_weights
     loss = prob.loss
@@ -366,7 +374,7 @@ def _certify(prob, U, lam_raw, beta_norm):
         else:
             U_feas = U / smin
             pval = float(np.linalg.norm(U_feas, axis=1).sum())
-        theta = _dual_block_values(prob, lam)
+        theta = _dual_block_values(prob, lam, 1.0)
         tmax = theta.max() if theta.size else 0.0
         lam_feas = lam / max(1.0, tmax)
         dval = float(lam_feas.sum())
@@ -376,7 +384,7 @@ def _certify(prob, U, lam_raw, beta_norm):
         return math.inf, -math.inf, U, lam, None
     pval = float(np.sum(loss.ell(s)) + beta_norm * np.linalg.norm(U, axis=1).sum())
     lam = np.minimum(lam, loss.box_upper)
-    theta = _dual_block_values(prob, lam)
+    theta = _dual_block_values(prob, lam, beta_norm)
     tmax = theta.max() if theta.size else 0.0
     if tmax > beta_norm:
         lam = lam * (beta_norm / tmax)
@@ -530,8 +538,9 @@ class _ConeProduct:
 
 SOCP_MAX_STEPS = 80
 SOCP_TOL = 1e-12  # stop: relative gap and residuals all below this
-SOCP_STALL = 1e-8  # below this error, stop after two steps without a new best
-SOCP_REFINE = 6  # refinement rounds at most, each while the residual halves
+SOCP_STALL = 1e-8  # below this error, stop at the first step without a new best
+SOCP_REFINE = 6  # refinement rounds at most, each while the residual halves and exceeds its floor
+SOCP_FORCE = 1e-3  # the refinement floor's share of the error (an inexact-Newton forcing term)
 SOCP_PRICE = 1e-2  # the error at which the master offers its iterate for pricing
 
 
@@ -578,17 +587,21 @@ def _interior_point_socp(master, price=None):
     Mehrotra's second-order term, so it is solved once, unrefined. The
     corrector, which moves the iterate, is refined on the full two-block
     system while the residual halves, at most SOCP_REFINE times, and stops
-    once the residual is at the rounding floor, 16 eps times the
-    right-hand side. The predictor's scaled pair (W^{-1} ds, W dz), which
-    its direction computes on the way to ds, gives the second-order term.
-    The step goes 0.99 of the way to the boundary.
+    once the residual is at its floor, max(16 eps, SOCP_FORCE err) times
+    the right-hand side: a direction needs no more accuracy than the
+    iterate's own error (an inexact-Newton forcing term, Dembo, Eisenstat
+    and Steihaug, SIAM J. Numer. Anal. 19, 1982), and near the optimum the
+    floor falls to rounding. The predictor's scaled pair (W^{-1} ds, W dz),
+    which its direction computes on the way to ds, gives the second-order
+    term. The step goes 0.99 of the way to the boundary.
 
     The error is the worst of the relative gap and the relative primal and
-    dual residuals. The loop stops when it falls below SOCP_TOL, after two
-    steps without a new best once it is below SOCP_STALL (rounding, not the
-    central path, then drives the iterates), on a non-finite step or after
-    SOCP_MAX_STEPS; it returns the best iterate (x, s, z) and the number of
-    steps taken. Callers certify what it returns.
+    dual residuals. The loop stops when it falls below SOCP_TOL, at the
+    first step without a new best once the best is below SOCP_STALL
+    (rounding, not the central path, then drives the iterates), on a
+    non-finite scaling or step, or after SOCP_MAX_STEPS; it returns the
+    best iterate (x, s, z) and the number of steps taken. Callers certify
+    what it returns.
 
     ``price``, if given, is called once, with (x, z), the first time the
     error falls to SOCP_PRICE: a well-centred early iterate, from which
@@ -610,21 +623,20 @@ def _interior_point_socp(master, price=None):
             v += (1.0 + max(shift, 0.0)) * e
     nb, nc = 1.0 + math.sqrt(b @ b), 1.0 + math.sqrt(c @ c)
     rounding = 16.0 * np.finfo(float).eps  # a residual this small relative to its right-hand side is rounding
-    best, stale = None, 0
+    best = None
     for steps in range(SOCP_MAX_STEPS + 1):
         rp = A(x) - b - s
         rd = AT(z) - c
         gap = float(s @ z)
         err = max(gap / (1.0 + abs(float(c @ x))), math.sqrt(rp @ rp) / nb, math.sqrt(rd @ rd) / nc)
-        if best is None or err < best[0]:
-            best, stale = (err, x, s, z), 0
-        else:
-            stale += 1
+        stale = best is not None and err >= best[0]
+        if not stale:
+            best = (err, x, s, z)
         if price is not None and err <= SOCP_PRICE:
             if price(x, z):
                 return x, s, z, steps
             price = None
-        if err <= SOCP_TOL or (stale == 2 and best[0] <= SOCP_STALL) or steps == SOCP_MAX_STEPS:
+        if err <= SOCP_TOL or (stale and best[0] <= SOCP_STALL) or steps == SOCP_MAX_STEPS:
             break
         W, lam = K.nt_scaling(s, z)
         try:
@@ -644,7 +656,7 @@ def _interior_point_socp(master, price=None):
             # returns (dx, ds, dz) and the scaled pair (W^{-1} ds, W dz)
             bx, bz = -rd, K.wmul(W, q) - rp
             dx, dz = solve_once(bx, bz)
-            last, floor = math.inf, rounding * (math.sqrt(bx @ bx) + math.sqrt(bz @ bz))
+            last, floor = math.inf, max(rounding, SOCP_FORCE * err) * (math.sqrt(bx @ bx) + math.sqrt(bz @ bz))
             for _ in range(rounds):
                 ex, ez = bx - AT(dz), bz - A(dx) - K.wmul(W, dz, times=2)
                 size = math.sqrt(ex @ ex) + math.sqrt(ez @ ez)
@@ -784,16 +796,18 @@ class _Master:
 
 MSN_MAX_ROUNDS = 30
 MSN_PRICE = 8  # blocks added per pricing round
+MSN_DROP = 1e-2  # at the pricing point, blocks whose t_i is below this share of the largest leave W
 
 
 def _price(prob, W, theta, lam, beta_norm):
     """The (up to MSN_PRICE) blocks outside W whose dual constraint value at lam is largest above the budget.
 
     ``theta`` holds every block's value as :func:`_certify` computed it, or
-    None, and then the values at lam itself.
+    None, and then the values at lam itself. Either is exact above the
+    budget beta_norm, which is all that pricing reads.
     """
     if theta is None:
-        theta = _dual_block_values(prob, lam)
+        theta = _dual_block_values(prob, lam, beta_norm)
     theta[W] = 0.0
     new = np.argsort(-theta, kind="stable")[:MSN_PRICE]
     return new[theta[new] > beta_norm]
@@ -820,9 +834,9 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     (:func:`_certify`: the blocks scaled to feasibility, lam scaled into
     every block's dual constraint) and stops once the relative gap is
     within ``tol``. Otherwise pricing (:func:`_price`) adds the (up to 8)
-    blocks whose dual constraint value at lam, exact for every block as
-    the certification computed it, is largest above the budget. No
-    violated block left, or MSN_MAX_ROUNDS rounds, raise
+    blocks whose dual constraint value at lam, as the certification
+    computed it (exact for every block above the budget), is largest above
+    the budget. No violated block left, or MSN_MAX_ROUNDS rounds, raise
     :class:`NonConvergence` with the best certified gap.
 
     Pricing is first tried early (Gondzio, Gonzalez-Brevis and Munari,
@@ -833,6 +847,14 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     goes on as above. A master over every block is not offered the early
     iterate. So every returned result comes from a completed master,
     certified at ``tol``.
+
+    A round that ends early also deletes columns (Desrosiers and Lubbecke,
+    *A Primer in Column Generation*, 2005): every block of W whose norm
+    bound t_i at the iterate is below MSN_DROP times the largest leaves W
+    before the new blocks join it. The blocks that keep every margin
+    master feasible (the one-block exit's block or the phase-1 support)
+    never leave, nor does a block once it is priced back after a drop, so
+    each block leaves at most once and the rounds still end.
 
     ``iterations`` counts the interior-point steps summed over the rounds,
     ``rounds`` the masters solved and ``early_rounds`` those of them that
@@ -848,6 +870,7 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     order = np.argsort(-np.linalg.norm(prob.row_weights @ X, axis=1), kind="stable")
     W = order[: 2 * (n + 1)]
     best, steps = math.inf, 0  # best certified relative gap, interior-point steps
+    kept = np.zeros(k, dtype=bool)  # blocks that never leave W
     if not prob.loss.penalized:
         # only a block coupled to every row can meet every margin alone
         full = order[np.all(prob.row_weights[order] != 0.0, axis=1)][:1]
@@ -865,12 +888,14 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
                 return MinSumNormsResult(pval, U_feas, lam_feas, pval - dval, 0, dval, 0, 0)
             best = min(best, rel)
         if math.isfinite(pval):  # a certified feasible block keeps every master feasible
-            W = np.union1d(W, full)
+            support = full
         else:
             U0 = _phase1_feasible(prob)
             if U0 is None:
                 raise Infeasible("margin system has no feasible point")
-            W = np.union1d(W, np.flatnonzero(np.any(U0 != 0.0, axis=1)))
+            support = np.flatnonzero(np.any(U0 != 0.0, axis=1))
+        W = np.union1d(W, support)
+        kept[support] = True
     # a block's component in the null space of X adds norm and nothing else,
     # so the master works in a basis of the row space (keeping it nonsingular)
     _, sv, Vt = np.linalg.svd(X, full_matrices=False)
@@ -895,6 +920,10 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
         steps += taken
         if new is not None and new.size:
             early += 1
+            t = x[: master.nv : master.d + 1]
+            drop = (t < MSN_DROP * t.max()) & ~kept[W]
+            kept[W[drop]] = True  # a block leaves W at most once, so the rounds end
+            W = W[~drop]
         else:
             lam = z[:n]
             pval, dval, U_feas, lam_feas, theta = _certify(prob, blocks(x), lam, beta_norm)

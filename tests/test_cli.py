@@ -237,6 +237,24 @@ def test_tol_not_finite_positive_exit_2(capsys, toy_csv, cmd, tol):
     assert error["type"] == "ValueError" and "tol" in error["message"]
 
 
+@pytest.mark.parametrize("method", ["negcorr", "geo", "auto"])
+@pytest.mark.parametrize("tol", ["nan", "1e-4"])
+def test_solve_tol_with_method_that_ignores_it_exit_2(capsys, tmp_path, monkeypatch, method, tol):
+    # negcorr and geo read no tolerance: --tol nan exited 0 with "certified": true
+    def solved(*args, **kwargs):
+        raise AssertionError("solver ran")
+
+    monkeypatch.setattr(cli, "solve_primal_negcorr", solved)
+    monkeypatch.setattr(cli, "solve_dual_geo", solved)
+    ds = generate_synthetic("negative_correlation", 6, 2, seed=0)
+    path = tmp_path / "nc.csv"
+    save_dataset(ds, str(path))
+    code, out = run_cli(capsys, "solve", "--input", str(path), "--method", method, "--tol", tol)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError" and "--tol" in error["message"]
+
+
 def test_removed_eps_flag_is_usage_error(capsys, tmp_path):
     # --eps is gone; it must not be taken as an abbreviation of --eps0
     ds = generate_synthetic("general", 7, 2, seed=0)
@@ -299,7 +317,7 @@ def test_solve_bad_rounding_parameters_exit_2(capsys, tmp_path, flags):
     cmd=st.sampled_from(["classify", "solve", "oracle"]),
     loss=st.sampled_from(["maxmargin", "hinge", "squared_hinge"]),
     beta=st.sampled_from(["1", "0.3", "2", "0", "-1"]),
-    tol=st.sampled_from(["1e-8", "1e-4", "0", "1e-15"]),
+    tol=st.sampled_from([None, "1e-8", "1e-4", "0", "1e-15"]),
     method=st.sampled_from(["auto", "ortho", "negcorr", "geo"]),
     c=st.sampled_from(["0.5", "0.9", "0", "1", "-0.5"]),
     eps0=st.sampled_from(["0.3", "1", "0", "-0.1"]),
@@ -321,9 +339,9 @@ def test_cli_never_raises_property(tmp_path, n, d, seed, edits, cmd, loss, beta,
     )
     argv = [cmd, "--input", str(path)]
     if cmd == "classify":
-        argv += ["--tol-class", tol]
+        argv += ["--tol-class", tol] if tol is not None else []
     else:
-        argv += ["--loss", loss, "--beta", beta, "--tol", tol]
+        argv += ["--loss", loss, "--beta", beta] + (["--tol", tol] if tol is not None else [])
     if cmd == "solve":
         argv += ["--method", method, "--c", c, "--eps0", eps0, "--delta", delta]
         argv += ["--k", k] if k is not None else []
