@@ -300,7 +300,7 @@ def _label_block_dual(ds: Dataset, loss: LossModel, regime: str, rho: float) -> 
         regime=regime,
         rho=rho,
         eps=info_p["eps"] + info_m["eps"],
-        meta={"lam_blocks": (lam_p, lam_m), "block_info": (info_p, info_m)},
+        meta={"block_info": (info_p, info_m)},
     )
 
 

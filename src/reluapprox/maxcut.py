@@ -4,7 +4,10 @@ The dual constraint of the margin problem restricts a binary quadratic
 form, i.e. a Max-Cut value. The unit-diagonal SDP relaxation upper-bounds
 it, Goemans-Williamson sign rounding recovers at least 2/pi of the SDP
 value in expectation for PSD objectives, and the rounded signs map back to
-activation patterns of the data's hyperplane arrangement.
+activation patterns of the data's hyperplane arrangement. :func:`gw_round`
+and the negcorr primal's per-block rounding (``primal._round_block``) draw
+from one Gaussian sampler; the primal maps its draws to gates with
+:func:`realize_patterns`.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .geometry import binary_vertices
 BRUTE_CAP = 22
 SDP_CERT_GAP = 1e-7  # largest certified relative gap a solve may return
 DROP_TOL = 1e-8  # rows with dual weight at most DROP_TOL * max(lam) are left out of pattern realization
+_GUARD_SLACK = 1e-9  # guard rows of a least-distance gate need g'w <= -_GUARD_SLACK
 
 __all__ = [
     "SdpSolution",
@@ -68,8 +72,6 @@ class SdpSolution:
 class RoundingBatch:
     """Sign samples from N(0, Z) with their induced activation masks."""
 
-    seed: int
-    k: int
     samples: np.ndarray  # k x m of +-1
     masks: np.ndarray  # k x (m-1), b_j = (z_j z_m + 1)/2
     mean: float
@@ -176,24 +178,26 @@ def psd_factor(Z: np.ndarray) -> np.ndarray:
     return L
 
 
+def _gaussian_draws(rng: np.random.Generator, Z: np.ndarray, k: int) -> np.ndarray:
+    """k rows r ~ N(0, Z): standard normals times the factor of :func:`psd_factor`."""
+    L = psd_factor(Z)
+    return rng.standard_normal((k, L.shape[0])) @ L.T
+
+
 def gw_round(Z: np.ndarray, Q: np.ndarray, k: int, seed: int) -> RoundingBatch:
     """Draw k sign vectors z = sign(r), r ~ N(0, Z), and score z'Qz.
 
-    Z is factored by :func:`psd_factor`. Masks pair each coordinate with the
-    last one: b_j = (z_j z_m + 1) / 2.
+    The draws are those of the negcorr primal's rounding
+    (:func:`_gaussian_draws`). Masks pair each coordinate with the last
+    one: b_j = (z_j z_m + 1) / 2.
     """
-    L = psd_factor(Z)
+    zs = sign_pm(_gaussian_draws(np.random.default_rng(seed), Z, k))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    m = L.shape[0]
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((k, m))
-    R = G @ L.T
-    zs = sign_pm(R)
     vals = np.einsum("ij,jk,ik->i", zs, Q, zs)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(k)) if k > 1 else math.inf
     masks = ((zs[:, :-1] * zs[:, -1:]) + 1.0) / 2.0
-    return RoundingBatch(seed=seed, k=k, samples=zs, masks=masks, mean=mean, stderr=stderr)
+    return RoundingBatch(samples=zs, masks=masks, mean=mean, stderr=stderr)
 
 
 def dual_quadratic(X: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -269,18 +273,14 @@ class RealizedPattern:
     method: str  # "algebraic" | "lp" | "zero"
 
 
-def realize_mask_lp(
-    X: np.ndarray,
-    mask: np.ndarray,
-    guard_rows: Optional[np.ndarray] = None,
-    guard_slack: float = 0.0,
-) -> np.ndarray:
+def realize_mask_lp(X: np.ndarray, mask: np.ndarray, guard_rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Find w with I(X w >= 0) == mask as the least-norm gate with unit margins, or raise.
 
     Active rows get x'w >= 1, inactive rows x'w <= -1 (scaling makes any
     strictly realizable mask feasible at unit slack). Guard rows, when
-    given, additionally require g'w <= -guard_slack. The gate is the
-    least-distance program min ||w|| over these rows, solved exactly by
+    given, additionally require g'w <= -``_GUARD_SLACK`` (1e-9), so the gate
+    is strictly negative on every guard row. The gate is the least-distance
+    program min ||w|| over these rows, solved exactly by
     Lawson and Hanson's NNLS (:func:`reluapprox.conic._least_distance`);
     it has no solution exactly when the mask is not realizable. The name and
     the ``"lp"`` method label of :func:`realize_patterns` remain from the LP
@@ -296,7 +296,7 @@ def realize_mask_lp(
     if guard_rows is not None and np.size(guard_rows):
         G = np.atleast_2d(np.asarray(guard_rows, dtype=float))
         rows.append(-G)
-        rhs.append(np.full(G.shape[0], guard_slack))
+        rhs.append(np.full(G.shape[0], _GUARD_SLACK))
     sol = _least_distance(np.vstack(rows), np.concatenate(rhs))
     if sol is None:
         if mask.all() and guard_rows is None:
@@ -361,10 +361,7 @@ def realize_patterns(
         key = kept_targets[i].tobytes()
         if key not in fallback:
             try:
-                sub = realize_mask_lp(
-                    X[keep], kept_targets[i], guard_rows=guard_rows,
-                    guard_slack=1e-9 if guard_rows is not None else 0.0,
-                )
+                sub = realize_mask_lp(X[keep], kept_targets[i], guard_rows=guard_rows)
             except Unrealizable:
                 fallback[key] = ("unrealizable", 0.0, 0.0)
             else:

@@ -1,18 +1,20 @@
 """Constructing networks that achieve the primal values, and certifying them.
 
 The orthogonal-separable construction is a two-neuron ReLU network read off
-the separated cone programs. The negative-correlation pipeline rounds the
-block SDP solutions into activation masks, solves the masked group-norm
-program, and assembles a gated network whose weights reproduce the solver
-value exactly; the certificate against the dual lower bound is therefore
-machine-checkable end to end.
+the separated cone programs. The negative-correlation pipeline runs one
+routine per label block (``_round_block``): Gaussian draws from the block's
+SDP matrix, realized as gate patterns, deduplicated, and the masked
+group-norm program, with the draws doubled while it is infeasible. One loop
+over the two blocks assembles a gated network whose weights reproduce the
+solver value exactly; the certificate against the dual lower bound is
+therefore machine-checkable end to end.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -27,7 +29,7 @@ from .errors import (
     Unrealizable,
     ZeroDirection,
 )
-from .maxcut import psd_factor, realize_patterns
+from .maxcut import _gaussian_draws, realize_patterns
 
 MAX_ROUNDS = 3  # rounding rounds per block, doubling the draws each time
 
@@ -170,6 +172,11 @@ class Certificate:
     reason: str
 
 
+def _below_lower(p: float, lower: float) -> bool:
+    """Weak duality fails: p lies below lower by more than 1e-9 (1 + |lower|)."""
+    return p < lower - 1e-9 * (1.0 + abs(lower))
+
+
 def certify(p: float, lower: float, rho: float) -> Certificate:
     """Accept iff lower - 1e-9 (1 + |lower|) <= p <= lower / rho * (1 + 1e-8).
 
@@ -178,7 +185,7 @@ def certify(p: float, lower: float, rho: float) -> Certificate:
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
-    if p < lower - 1e-9 * (1.0 + abs(lower)):
+    if _below_lower(p, lower):
         return Certificate(False, p, lower, rho, "p below the dual lower bound (weak duality violated)")
     if p > lower / rho * (1.0 + 1e-8):
         return Certificate(False, p, lower, rho, f"p exceeds lower/rho = {lower / rho:.6g}")
@@ -189,54 +196,46 @@ def certify(p: float, lower: float, rho: float) -> Certificate:
 class ApproxResult:
     p: float
     lower: float
-    factor: float  # certified p / lower
     network: Optional[Network]
-    regime: str
     k: tuple
-    eps0: float
-    delta: float
-    seed: int
     C1: tuple
     C2: float
     dual: DualCertificate
-    meta: dict = field(default_factory=dict)
 
 
 def default_sample_count(n_block: int, eps0: float, delta: float) -> int:
     """k = ceil(0.5 eps0^-2 log((n+1)^2 / delta)), the Hoeffding count."""
-    if n_block == 0:
-        return 0
     return int(math.ceil(0.5 * eps0**-2 * math.log((n_block + 1) ** 2 / delta)))
 
 
-def _round_block_masks(X_block, lam_block, Z, k, guard, rng):
-    """Draw k Gaussian rounding samples and realize them as gate patterns.
+def _round_block(X_block, lam_block, Z, k, guard_rows, loss, rng):
+    """Goemans-Williamson rounding of one label block, up to its masked program.
 
-    Draws the LP cannot realize, and zero gates, are dropped.
+    Each round draws k Gaussian samples from N(0, Z), realizes them as gate
+    patterns that stay off ``guard_rows`` (the other class), drops the
+    draws the least-distance program cannot realize and zero gates, keeps
+    the distinct nonzero masks in order of first occurrence and solves the
+    masked group-norm program. An infeasible program, or no mask at all,
+    doubles the draws (at least 8) for up to MAX_ROUNDS rounds. Returns the
+    program's result with the gate of each kept mask.
     """
-    L = psd_factor(Z)
-    draws = rng.standard_normal((k, L.shape[0])) @ L.T
-    _, masks, gates, method = realize_patterns(X_block, draws, lam_block, guard_rows=guard)
-    ok = (method == "algebraic") | (method == "lp")
-    return masks[ok], gates[ok]
-
-
-def _solve_block_primal(X_block, masks, loss):
-    prob = MinSumNormsProblem(X=X_block, row_weights=np.array(masks, dtype=float), loss=loss)
-    return solve_min_sum_norms(prob, tol=1e-9)
-
-
-def _assemble_block(masks, gates, blocks_u):
-    """Balanced-scale neurons from the block solution; dead neurons dropped."""
-    H_cols, W_cols, w2 = [], [], []
-    for mask, h, u in zip(masks, gates, blocks_u):
-        norm = float(np.linalg.norm(u))
-        if norm <= 1e-12:
-            continue
-        H_cols.append(h)
-        W_cols.append(u / math.sqrt(norm))
-        w2.append(math.sqrt(norm))
-    return H_cols, W_cols, w2
+    masks, gates = np.empty((0, X_block.shape[0])), np.empty((0, X_block.shape[1]))
+    for _ in range(MAX_ROUNDS):
+        draws = _gaussian_draws(rng, Z, k)
+        _, m_new, g_new, method = realize_patterns(X_block, draws, lam_block, guard_rows=guard_rows)
+        ok = (method == "algebraic") | (method == "lp")
+        masks, gates = np.vstack([masks, m_new[ok]]), np.vstack([gates, g_new[ok]])
+        keep = np.sort(np.unique(masks, axis=0, return_index=True)[1])
+        keep = keep[masks[keep].any(axis=1)]
+        masks, gates = masks[keep], gates[keep]
+        if len(masks):
+            try:
+                prob = MinSumNormsProblem(X=X_block, row_weights=masks, loss=loss)
+                return solve_min_sum_norms(prob, tol=1e-9), gates
+            except Infeasible:
+                pass
+        k = max(2 * k, 8)
+    raise Unrealizable("no realizable mask family made the block program feasible")
 
 
 def solve_primal_negcorr(
@@ -250,12 +249,14 @@ def solve_primal_negcorr(
 ) -> ApproxResult:
     """End-to-end primal pipeline for negative-correlation data.
 
-    Per label block: solve the SDP-surrogate dual, draw Gaussian rounding
-    samples from the optimal SDP matrix, realize each sign pattern as a
-    gate vector (constrained to stay off the other class), deduplicate,
-    and solve the masked group-norm program. The assembled gated network
-    achieves exactly p = p_+ + p_-, which is certified against the dual
-    lower bound.
+    Each label block's lam and SDP matrix come from the label-block dual
+    certificate (solved here unless ``dual_cert`` gives one of ``ds``;
+    any other certificate raises ValueError). :func:`_round_block` rounds
+    the block into gate patterns that stay off the other class and solves
+    its masked group-norm program; the solution's balanced-scale neurons
+    (dead ones dropped) form the gated network, which achieves exactly
+    p = p_+ + p_-. A p below the dual lower bound raises
+    CertificateViolation, by the rule of :func:`certify`.
     """
     if not (eps0 > 0.0 and 0.0 < delta < 1.0):
         raise ValueError("need eps0 > 0 and 0 < delta < 1")
@@ -264,91 +265,47 @@ def solve_primal_negcorr(
     loss = loss or LossModel.max_margin()
     if dual_cert is None:
         dual_cert = solve_dual_negcorr(ds, loss)
-    lam_p, lam_m = dual_cert.meta["lam_blocks"]
-    info_p, info_m = dual_cert.meta["block_info"]
+    if "block_info" not in dual_cert.meta:
+        raise ValueError("dual_cert is not a label-block (negcorr or geo) certificate")
+    if np.shape(dual_cert.lam) != (ds.n,):
+        raise ValueError(f"dual_cert has lam of shape {np.shape(dual_cert.lam)}, expected ({ds.n},)")
+    lam_blocks = ds.split_dual(dual_cert.lam)
+    if any(np.any(lam_b < 0.0) for lam_b in lam_blocks):
+        raise ValueError("dual_cert's lam is sign-infeasible for the dataset's labels")
+    if ds.n == 0:
+        raise Unrealizable("empty dataset")
     rng = np.random.default_rng(np.random.SeedSequence([982451653, seed]))
 
-    sides = []
-    ks = []
-    for side, (Xb, lam_b, info, guard) in enumerate(
-        ((ds.X_plus, lam_p, info_p, ds.X_minus), (ds.X_minus, lam_m, info_m, ds.X_plus))
-    ):
-        nb = Xb.shape[0]
-        if nb == 0:
-            sides.append(None)
-            ks.append(0)
-            continue
-        k = k_override or default_sample_count(nb, eps0, delta / 2.0)
-        ks.append(k)
-        guard_rows = guard if guard.shape[0] else None
-        masks, gates = np.empty((0, nb)), np.empty((0, ds.d))
-        k_round = k
-        for _ in range(MAX_ROUNDS):
-            m_new, g_new = _round_block_masks(Xb, lam_b, info["Z"], k_round, guard_rows, rng)
-            masks, gates = np.vstack([masks, m_new]), np.vstack([gates, g_new])
-            # distinct nonzero masks, in order of first occurrence
-            keep = np.sort(np.unique(masks, axis=0, return_index=True)[1])
-            keep = keep[masks[keep].any(axis=1)]
-            masks, gates = masks[keep], gates[keep]
-            if len(masks):
-                try:
-                    res = _solve_block_primal(Xb, masks, loss)
-                    break
-                except Infeasible:
-                    pass
-            k_round = max(2 * k_round, 8)
-        else:
-            raise Unrealizable(
-                f"block {side}: no realizable mask family made the program feasible"
-            )
-        sides.append((res, masks, gates))
-    if all(s is None for s in sides):
-        raise Unrealizable("empty dataset")
-
-    H_cols, W_cols, w2 = [], [], []
+    H_cols, W_cols, w2, ks = [], [], [], []
     p_total = 0.0
-    for side, pack in enumerate(sides):
-        if pack is None:
+    blocks = ((ds.X_plus, ds.X_minus, 1.0), (ds.X_minus, ds.X_plus, -1.0))  # rows, guard rows, output sign
+    for (Xb, guard, sign), lam_b, info in zip(blocks, lam_blocks, dual_cert.meta["block_info"]):
+        nb = Xb.shape[0]
+        ks.append((k_override or default_sample_count(nb, eps0, delta / 2.0)) if nb else 0)
+        if nb == 0:
             continue
-        res, masks, gates = pack
+        guard_rows = guard if guard.shape[0] else None
+        res, gates = _round_block(Xb, lam_b, info["Z"], ks[-1], guard_rows, loss, rng)
         p_total += res.value
-        h, wcols, wouts = _assemble_block(masks, gates, res.blocks)
-        sign = 1.0 if side == 0 else -1.0
-        H_cols.extend(h)
-        W_cols.extend(wcols)
-        w2.extend(sign * np.array(wouts))
+        for h, u in zip(gates, res.blocks):
+            norm = float(np.linalg.norm(u))
+            if norm > 1e-12:
+                H_cols.append(h)
+                W_cols.append(u / math.sqrt(norm))
+                w2.append(sign * math.sqrt(norm))
     if not H_cols:
         # the optimum is the zero network (possible for penalized losses)
-        net: Network = GatedReluNetwork(
-            H=np.zeros((ds.d, 1)), W1=np.zeros((ds.d, 1)), w2=np.zeros(1)
-        )
-    else:
-        net = GatedReluNetwork(
-            H=np.column_stack(H_cols), W1=np.column_stack(W_cols), w2=np.array(w2)
-        )
+        H_cols, W_cols, w2 = [np.zeros(ds.d)], [np.zeros(ds.d)], [0.0]
+    net = GatedReluNetwork(H=np.column_stack(H_cols), W1=np.column_stack(W_cols), w2=np.array(w2))
 
     lower = dual_cert.objective
-    if p_total < lower - 1e-7 * (1.0 + abs(lower)):
+    if _below_lower(p_total, lower):
         raise CertificateViolation(
             f"weak duality violated: p={p_total} below dual bound {lower} (solver bug)"
         )
     C1 = tuple(
         4.0 / max(float(np.sum(lam_b)), 1e-300) ** 2 if lam_b.size else math.inf
-        for lam_b in (lam_p, lam_m)
+        for lam_b in lam_blocks
     )
     C2 = float(np.max(np.sum(ds.X**2, axis=1)))
-    return ApproxResult(
-        p=p_total,
-        lower=lower,
-        factor=p_total / lower if lower > 0 else math.inf,
-        network=net,
-        regime="negcorr",
-        k=tuple(ks),
-        eps0=eps0,
-        delta=delta,
-        seed=seed,
-        C1=C1,
-        C2=C2,
-        dual=dual_cert,
-        meta={"loss": loss.name},
-    )
+    return ApproxResult(p=p_total, lower=lower, network=net, k=tuple(ks), C1=C1, C2=C2, dual=dual_cert)

@@ -185,7 +185,10 @@ def test_split_merge_dual_round_trip():
     lam = rng.random(ds.n) * ds.y
     lp, lm = ds.split_dual(lam)
     assert np.all(lp >= 0) and np.all(lm >= 0)
-    assert np.allclose(ds.merge_dual(lp, lm), lam)
+    # exact both ways: callers recover the label blocks from the merged lam
+    assert np.array_equal(ds.merge_dual(lp, lm), lam)
+    back_p, back_m = ds.split_dual(ds.merge_dual(lp, lm))
+    assert np.array_equal(back_p, lp) and np.array_equal(back_m, lm)
 
 
 def test_loss_models():

@@ -284,8 +284,6 @@ def test_geo_matches_negcorr_on_negcorr_data(loss):
         nc = solve_dual_negcorr(ds, loss)
         geo = solve_dual_geo(ds, c=0.4, loss=loss)
         assert np.array_equal(geo.lam, nc.lam) and geo.eps == nc.eps
-        for a, b in zip(geo.meta["lam_blocks"], nc.meta["lam_blocks"]):
-            assert np.array_equal(a, b)
         for a, b in zip(geo.meta["block_info"], nc.meta["block_info"]):
             assert np.array_equal(a["Z"], b["Z"])
 

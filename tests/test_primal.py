@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import reluapprox.maxcut as maxcut
 from reluapprox.dataset import Dataset, LossModel, generate_synthetic
-from reluapprox.dual import check_dual_feasibility, solve_dual_ortho
-from reluapprox.errors import DimensionMismatch, GenerationFailed, ZeroDirection
+from reluapprox.dual import check_dual_feasibility, solve_dual_negcorr, solve_dual_ortho
+from reluapprox.errors import CertificateViolation, DimensionMismatch, GenerationFailed, ZeroDirection
 from reluapprox.oracle import exact_primal
 from reluapprox.primal import (
     GatedReluNetwork,
@@ -190,6 +191,40 @@ def test_weak_duality_lower_bound():
     ds = generate_synthetic("negative_correlation", 10, 3, seed=21)
     res = solve_primal_negcorr(ds, seed=3)
     assert res.lower <= res.p + 1e-9 * (1 + res.p)
+
+
+def test_negcorr_weak_duality_rule_matches_certify():
+    # a lower bound 1e-8 (1 + p) above p passes a 1e-7 slack but not the
+    # 1e-9 rule; the solver and certify must both reject it
+    ds = generate_synthetic("negative_correlation", 8, 3, seed=5)
+    cert = solve_dual_negcorr(ds)
+    p = solve_primal_negcorr(ds, seed=1, dual_cert=cert).p
+    lifted = dataclasses.replace(cert, objective=p + 1e-8 * (1.0 + p))
+    assert not certify(p, lifted.objective, 1.0).accepted
+    with pytest.raises(CertificateViolation, match="weak duality"):
+        solve_primal_negcorr(ds, seed=1, dual_cert=lifted)
+
+
+def test_negcorr_rejects_certificate_without_block_info():
+    ds = Dataset([[1.0], [-1.0]], [1, -1])
+    with pytest.raises(ValueError, match="label-block"):
+        solve_primal_negcorr(ds, dual_cert=solve_dual_ortho(ds))
+
+
+def test_negcorr_rejects_certificate_of_other_size():
+    ds = generate_synthetic("negative_correlation", 8, 3, seed=5)
+    other = generate_synthetic("negative_correlation", 9, 3, seed=5)
+    with pytest.raises(ValueError, match="shape"):
+        solve_primal_negcorr(ds, dual_cert=solve_dual_negcorr(other))
+
+
+def test_negcorr_rejects_sign_infeasible_certificate():
+    # the mirrored dataset has every label flipped, so its lam has the wrong
+    # sign on every row of ds
+    ds = generate_synthetic("negative_correlation", 8, 3, seed=5)
+    mirrored = Dataset(-ds.X, -ds.y)
+    with pytest.raises(ValueError, match="sign-infeasible"):
+        solve_primal_negcorr(ds, dual_cert=solve_dual_negcorr(mirrored))
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
