@@ -27,22 +27,9 @@ from .dual import (
     solve_dual_geo,
     solve_dual_ortho,
 )
-from .errors import (
-    CapExceeded,
-    CertificateViolation,
-    FactorizationFailure,
-    GenerationFailed,
-    Infeasible,
-    NonConvergence,
-    ReluApproxError,
-    TooLarge,
-    Unbounded,
-    Unrealizable,
-    WrongRegime,
-    ZeroDenominator,
-)
+from .errors import ReluApproxError, SolverFailure, WrongRegime, ZeroDenominator
 from .maxcut import BRUTE_CAP, gw_round, maxcut_bruteforce, sdp_relaxation
-from .oracle import enumerate_patterns, exact_dual, exact_primal
+from .oracle import enumerate_patterns, exact_primal
 from .primal import (
     build_network_ortho,
     certify,
@@ -52,20 +39,6 @@ from .primal import (
     solve_primal_negcorr,
 )
 
-_SOLVER_ERRORS = (
-    NonConvergence,
-    Unrealizable,
-    Infeasible,
-    Unbounded,
-    TooLarge,
-    CapExceeded,
-    FactorizationFailure,
-    GenerationFailed,
-    ZeroDenominator,
-    CertificateViolation,
-)
-
-
 def _fingerprint(ds: Dataset) -> dict:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(ds.X).tobytes())
@@ -73,20 +46,14 @@ def _fingerprint(ds: Dataset) -> dict:
     return {"n": ds.n, "d": ds.d, "sha256": h.hexdigest()}
 
 
-def _emit(report: dict, code: int = 0) -> int:
-    print(json.dumps(report, sort_keys=True))
+def _emit(argv, fields: dict, code: int = 0) -> int:
+    """Print one JSON report: the schema, the command line, then ``fields``."""
+    print(json.dumps({"schema": "v1", "command": list(argv), **fields}, sort_keys=True))
     return code
 
 
 def _error_report(argv, exc, code) -> int:
-    return _emit(
-        {
-            "schema": "v1",
-            "command": list(argv),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        },
-        code,
-    )
+    return _emit(argv, {"error": {"type": type(exc).__name__, "message": str(exc)}}, code)
 
 
 def _loss_from_args(args) -> LossModel:
@@ -97,13 +64,12 @@ def _cmd_classify(args, argv) -> int:
     ds = load_dataset(args.input)
     cls = classify_dataset(ds, tol=args.tol_class)
     return _emit(
+        argv,
         {
-            "schema": "v1",
-            "command": list(argv),
             "dataset": _fingerprint(ds),
             "class": cls.tag,
             "witness": list(cls.witness) if cls.witness else None,
-        }
+        },
     )
 
 
@@ -170,8 +136,6 @@ def _cmd_solve(args, argv) -> int:
         with open(args.output, "w") as fh:
             fh.write(network_to_json(net))
     report = {
-        "schema": "v1",
-        "command": list(argv),
         "dataset": _fingerprint(ds),
         "class": cls.tag,
         "method": method,
@@ -186,7 +150,7 @@ def _cmd_solve(args, argv) -> int:
         "diagnostics": diag,
         "network": net_json,
     }
-    return _emit(report)
+    return _emit(argv, report)
 
 
 def _cmd_verify(args, argv) -> int:
@@ -198,8 +162,6 @@ def _cmd_verify(args, argv) -> int:
         net = network_from_json(fh.read())
     ev = evaluate_network(net, ds, loss)
     report = {
-        "schema": "v1",
-        "command": list(argv),
         "dataset": _fingerprint(ds),
         "objective": ev.objective,
         "regularizer": ev.regularizer,
@@ -215,7 +177,7 @@ def _cmd_verify(args, argv) -> int:
             "lower": args.lower,
             "rho": args.rho,
         }
-    return _emit(report)
+    return _emit(argv, report)
 
 
 def _cmd_oracle(args, argv) -> int:
@@ -225,14 +187,14 @@ def _cmd_oracle(args, argv) -> int:
     pr = exact_primal(ds, loss, arch="relu", patterns=patterns, tol=args.tol)
     pg = exact_primal(ds, loss, arch="gated", patterns=patterns, tol=args.tol)
     report = {
-        "schema": "v1",
-        "command": list(argv),
         "dataset": _fingerprint(ds),
         "P_relu": pr.value,
         "P_gated": pg.value,
     }
     if loss.name == "maxmargin":
-        D, lam_star = exact_dual(ds, tol=args.tol, patterns=patterns)
+        # the max-margin ReLU program is the exact dual's: D is its value and
+        # lambda* its label-signed multipliers, as exact_dual reads them
+        D, lam_star = pr.value, ds.y * pr.lam
         report["D"] = D
         report["lam_star"] = lam_star.tolist()
         report["constraint_value"] = check_dual_feasibility(ds, lam_star).constraint_value
@@ -242,7 +204,7 @@ def _cmd_oracle(args, argv) -> int:
                 report["c_star"] = gr.c_star
             except ZeroDenominator:
                 report["c_star"] = None
-    return _emit(report)
+    return _emit(argv, report)
 
 
 def _cmd_maxcut(args, argv) -> int:
@@ -250,7 +212,7 @@ def _cmd_maxcut(args, argv) -> int:
         raise ValueError("--k must be at least 2: the standard error needs two samples")
     with open(args.matrix) as fh:
         Q = np.array(json.load(fh), dtype=float)
-    report = {"schema": "v1", "command": list(argv), "m": int(Q.shape[0])}
+    report = {"m": int(Q.shape[0])}
     sol = sdp_relaxation(Q)
     report["sdp"] = sol.objective
     report["sdp_bounds"] = [sol.lower, sol.upper]
@@ -262,7 +224,7 @@ def _cmd_maxcut(args, argv) -> int:
     report["gw_mean"] = batch.mean
     report["gw_stderr"] = batch.stderr
     report["gw_lower_bound_check"] = batch.mean >= (2.0 / math.pi) * sol.objective - 4 * batch.stderr
-    return _emit(report)
+    return _emit(argv, report)
 
 
 def _cmd_experiment(args, argv) -> int:
@@ -374,7 +336,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return handlers[args.cmd](args, argv)
     except WrongRegime as exc:
         return _error_report(argv, exc, 3)
-    except _SOLVER_ERRORS as exc:
+    except SolverFailure as exc:
         return _error_report(argv, exc, 4)
     except (OSError, ValueError, ReluApproxError) as exc:
         return _error_report(argv, exc, 2)

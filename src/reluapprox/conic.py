@@ -218,7 +218,7 @@ class MinSumNormsProblem:
 
     X: np.ndarray
     row_weights: np.ndarray  # k x n
-    loss: LossModel
+    loss: LossModel = LossModel.max_margin()
     cone_signs: Optional[np.ndarray] = None  # k x n of +-1
 
     def __post_init__(self):
@@ -238,15 +238,6 @@ class MinSumNormsProblem:
     @property
     def k(self) -> int:
         return self.row_weights.shape[0]
-
-    @staticmethod
-    def from_masks(X, masks, loss: Optional[LossModel] = None):
-        """Build the masked program without cone rows, F_i u_i = b_i * (X u_i)."""
-        return MinSumNormsProblem(
-            X=X,
-            row_weights=np.atleast_2d(np.asarray(masks, dtype=float)),
-            loss=loss or LossModel.max_margin(),
-        )
 
 
 @dataclass

@@ -50,7 +50,7 @@ __all__ = [
 
 @dataclass
 class DualCertificate:
-    """A sign-feasible dual vector with its certified quality factor.
+    """A sign-feasible dual vector of ``dataset`` under ``loss``, with its certified quality factor.
 
     ``objective`` is lam' y for the max-margin loss and sum g((diag(y)
     lam)_i) otherwise; ``rho`` guarantees objective >= rho * D up to the
@@ -58,13 +58,15 @@ class DualCertificate:
     for ortho, and for negcorr and geo a bound on each block's distance to
     its surrogate optimum (the interior-point gap, corrected for the
     primal residual, plus the gain that scaling lam onto the certified
-    c2 bound gave up).
+    c2 bound gave up). ``dataset`` and ``loss`` name what is certified:
+    the objective is a lower bound for that dataset and loss only.
     """
 
     lam: np.ndarray
     objective: float
     constraint_value: Optional[float]
-    regime: str
+    dataset: Dataset
+    loss: LossModel
     rho: float
     eps: float = 0.0
     meta: dict = field(default_factory=dict)
@@ -75,30 +77,20 @@ class GeoRatio:
     """Ratio of the two dual zonotopes' vertex maxima at the dual optimum."""
 
     c_star: float
-    numerator: float
-    denominator: float
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
     constraint_value: float
-    bound: float
-    sign_violation: float
     feasible: bool
 
 
 def check_dual_feasibility(ds: Dataset, lam: np.ndarray, bound: float = 1.0) -> FeasibilityReport:
-    """Exact dual-constraint value and sign-condition violations."""
-    lam = np.asarray(lam, dtype=float)
-    signed = ds.y * lam
-    sign_violation = float(max(0.0, -(signed.min(initial=0.0))))
-    clipped = ds.y * np.maximum(signed, 0.0)
-    report = dual_constraint_maximin(ds, clipped)
-    value = report.value
-    feasible = sign_violation <= 1e-10 and value <= bound * (1.0 + 1e-8)
-    return FeasibilityReport(
-        constraint_value=value, bound=bound, sign_violation=sign_violation, feasible=feasible
-    )
+    """Exact dual-constraint value; feasible iff diag(y) lam >= 0 and the value is within ``bound``."""
+    signed = ds.y * np.asarray(lam, dtype=float)
+    value = dual_constraint_maximin(ds, ds.y * np.maximum(signed, 0.0)).value
+    feasible = bool(signed.min(initial=0.0) >= -1e-10) and value <= bound * (1.0 + 1e-8)
+    return FeasibilityReport(constraint_value=value, feasible=feasible)
 
 
 def _checked_constraint(ds: Dataset, lam: np.ndarray, radius: float) -> Optional[float]:
@@ -135,7 +127,7 @@ def _block_ortho(X_block: np.ndarray, loss: LossModel, tol: float):
     if nb == 0:
         return 0.0, np.zeros(0), np.zeros(d), 0.0
     if loss.penalized:
-        prob = MinSumNormsProblem.from_masks(X_block, np.ones((1, nb)), loss=loss)
+        prob = MinSumNormsProblem(X=X_block, row_weights=np.ones((1, nb)), loss=loss)
         res = solve_min_sum_norms(prob, tol=tol)
         return float(np.sum(loss.g(res.lam))), res.lam, res.blocks[0], res.gap
     sol = _least_distance(X_block)
@@ -155,7 +147,7 @@ def _block_ortho(X_block: np.ndarray, loss: LossModel, tol: float):
     return dval, lam, u / smin, gap
 
 
-def solve_dual_ortho(ds: Dataset, loss: Optional[LossModel] = None, tol: float = 1e-8) -> DualCertificate:
+def solve_dual_ortho(ds: Dataset, loss: LossModel = LossModel.max_margin(), tol: float = 1e-8) -> DualCertificate:
     """Exact dual for orthogonal-separable data (two separated cone programs).
 
     The data are classified with exact Gram signs. For the max-margin loss
@@ -167,7 +159,6 @@ def solve_dual_ortho(ds: Dataset, loss: Optional[LossModel] = None, tol: float =
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be a finite positive number, got {tol}")
-    loss = loss or LossModel.max_margin()
     cls = classify_dataset(ds)
     if cls.tag != ORTHO_SEPARABLE:
         raise WrongRegime(f"dataset classifies as {cls.tag}")
@@ -181,7 +172,8 @@ def solve_dual_ortho(ds: Dataset, loss: Optional[LossModel] = None, tol: float =
         lam=lam,
         objective=objective,
         constraint_value=constraint,
-        regime="ortho",
+        dataset=ds,
+        loss=loss,
         rho=1.0,
         eps=gap_p + gap_m,
         meta={"u_plus": u_plus, "u_minus": u_minus},
@@ -259,7 +251,7 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
     """
     nb = X_block.shape[0]
     if nb == 0:
-        return 0.0, np.zeros(0), {"iterations": 0, "eps": 0.0}
+        return np.zeros(0), {"eps": 0.0}
     C, A, b, y0 = _block_sdp(X_block, loss, radius)
     primal, y, slack, steps, met = _interior_point_sdp(C, A, b, y0)
     lam = y[:nb]
@@ -269,7 +261,6 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
     r2 = radius**2
     if hi > r2:
         lam = lam * math.sqrt(r2 / hi)
-    value = float(np.sum(loss.g(lam)))
     # for the optimal y*, b'y - b'y* <= tr(XZ) - y'r + |y*| |r| with r = A(X) - b
     # (Jansson, Chaykin and Keil 2007). |y*| is bounded a priori: lam_j <= r/|x_j|
     # (c2(lam) >= lam_j^2 |x_j|^2) and <= 1 for the hinge, 1'zeta <= 4 r^2 with
@@ -278,11 +269,11 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
     y_bound = math.sqrt(lam2 + (4.0 * r2) ** 2 + (lam2**2 if loss.name == "squared_hinge" else 0.0))
     residual = float(np.linalg.norm(np.einsum("ijk,jk->i", A, primal) - b))
     gap = float(np.sum(primal * slack)) + (float(np.linalg.norm(y)) + y_bound) * residual
-    eps = gap + max(solved - value, 0.0)
-    return value, lam, {"iterations": steps, "eps": eps, "Z": sol.Z}
+    eps = gap + max(solved - float(np.sum(loss.g(lam))), 0.0)
+    return lam, {"eps": eps, "Z": sol.Z}
 
 
-def _label_block_dual(ds: Dataset, loss: LossModel, regime: str, rho: float) -> DualCertificate:
+def _label_block_dual(ds: Dataset, loss: LossModel, rho: float) -> DualCertificate:
     """Both label blocks at radius r = beta (1 for the max-margin loss), merged.
 
     ``eps`` is the sum of the blocks' bounds on their distance to the
@@ -290,21 +281,22 @@ def _label_block_dual(ds: Dataset, loss: LossModel, regime: str, rho: float) -> 
     :func:`_checked_constraint`.
     """
     radius = loss.beta
-    _, lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius)
-    _, lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius)
+    lam_p, info_p = _block_negcorr(ds.X_plus, loss, radius)
+    lam_m, info_m = _block_negcorr(ds.X_minus, loss, radius)
     lam = ds.merge_dual(lam_p, lam_m)
     return DualCertificate(
         lam=lam,
         objective=loss.g_total(lam, ds.y),
         constraint_value=_checked_constraint(ds, lam, radius),
-        regime=regime,
+        dataset=ds,
+        loss=loss,
         rho=rho,
         eps=info_p["eps"] + info_m["eps"],
         meta={"block_info": (info_p, info_m)},
     )
 
 
-def solve_dual_negcorr(ds: Dataset, loss: Optional[LossModel] = None) -> DualCertificate:
+def solve_dual_negcorr(ds: Dataset, loss: LossModel = LossModel.max_margin()) -> DualCertificate:
     """Approximate dual for negative-correlation data via the SDP surrogate.
 
     Each label block is a one-class problem max sum g(lam) s.t.
@@ -314,11 +306,10 @@ def solve_dual_negcorr(ds: Dataset, loss: Optional[LossModel] = None) -> DualCer
     objective is at least sqrt(2/pi) * D - eps, with ``eps`` the sum of the
     blocks' bounds on their distance to the surrogate optimum.
     """
-    loss = loss or LossModel.max_margin()
     cls = classify_dataset(ds)
     if cls.tag not in (ORTHO_SEPARABLE, NEGATIVE_CORRELATION):
         raise WrongRegime(f"dataset classifies as {cls.tag}")
-    return _label_block_dual(ds, loss, "negcorr", SQRT_2_OVER_PI)
+    return _label_block_dual(ds, loss, SQRT_2_OVER_PI)
 
 
 def geometric_ratio(ds: Dataset, lam_star: np.ndarray) -> GeoRatio:
@@ -330,14 +321,10 @@ def geometric_ratio(ds: Dataset, lam_star: np.ndarray) -> GeoRatio:
     den, _ = zonotope_vertex_max(ds.X_minus.T * lam_m[None, :])
     if den <= 0.0:
         raise ZeroDenominator("negative-block vertex maximum is zero")
-    return GeoRatio(c_star=num / den, numerator=num, denominator=den)
+    return GeoRatio(c_star=num / den)
 
 
-def solve_dual_geo(
-    ds: Dataset,
-    c: float,
-    loss: Optional[LossModel] = None,
-) -> DualCertificate:
+def solve_dual_geo(ds: Dataset, c: float, loss: LossModel = LossModel.max_margin()) -> DualCertificate:
     """Dual approximation for general data from the two radius-r block SDPs.
 
     Both label blocks are solved at radius r, as in
@@ -352,10 +339,9 @@ def solve_dual_geo(
     their bound holds, with ``eps`` the sum of the blocks' bounds on their
     distance to the surrogate optimum.
     """
-    loss = loss or LossModel.max_margin()
     if not 0.0 < c < 1.0:
         raise ValueError("c must lie in (0, 1)")
     rho = (1.0 - c) * SQRT_2_OVER_PI
-    cert = _label_block_dual(ds, loss, "geo", rho)
+    cert = _label_block_dual(ds, loss, rho)
     cert.meta["p_derived"] = cert.objective / rho if rho > 0 else math.inf
     return cert

@@ -1,8 +1,17 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error is a :class:`ReluApproxError`. The CLI maps each to its exit
+code by class: :class:`WrongRegime` exits 3, every :class:`SolverFailure`
+exits 4, and every other package error (bad input) exits 2.
+"""
 
 
 class ReluApproxError(Exception):
     """Base class for all package errors."""
+
+
+class SolverFailure(ReluApproxError):
+    """A solver, generator or certificate check could not produce a certified result."""
 
 
 class MalformedRow(ReluApproxError):
@@ -17,7 +26,7 @@ class ZeroSample(ReluApproxError):
     """A sample is the all-zero vector, which makes margin constraints infeasible."""
 
 
-class GenerationFailed(ReluApproxError):
+class GenerationFailed(SolverFailure):
     """Synthetic generation exhausted its rejection budget."""
 
 
@@ -25,7 +34,7 @@ class WrongRegime(ReluApproxError):
     """The dataset does not classify into the regime the solver requires."""
 
 
-class TooLarge(ReluApproxError):
+class TooLarge(SolverFailure):
     """Problem size exceeds the exact-enumeration cap."""
 
 
@@ -33,23 +42,23 @@ class SignViolation(ReluApproxError):
     """A dual vector violates the sign condition diag(y) @ lam >= 0."""
 
 
-class NonConvergence(ReluApproxError):
+class NonConvergence(SolverFailure):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class Infeasible(ReluApproxError):
+class Infeasible(SolverFailure):
     """A constrained problem has no feasible point."""
 
 
-class Unbounded(ReluApproxError):
+class Unbounded(SolverFailure):
     """A maximization problem has unbounded value (non-separable max-margin dual)."""
 
 
-class FactorizationFailure(ReluApproxError):
+class FactorizationFailure(SolverFailure):
     """A covariance factorization needed for Gaussian sampling failed."""
 
 
-class Unrealizable(ReluApproxError):
+class Unrealizable(SolverFailure):
     """No gate vector realizes the requested activation pattern."""
 
 
@@ -57,7 +66,7 @@ class ZeroDirection(ReluApproxError):
     """A network construction received a zero weight direction."""
 
 
-class ZeroDenominator(ReluApproxError):
+class ZeroDenominator(SolverFailure):
     """The geometric ratio has an empty or zero denominator side."""
 
 
@@ -65,9 +74,9 @@ class DimensionMismatch(ReluApproxError):
     """Network and dataset dimensions are inconsistent."""
 
 
-class CapExceeded(ReluApproxError):
+class CapExceeded(SolverFailure):
     """Activation-pattern enumeration exceeded its cap."""
 
 
-class CertificateViolation(ReluApproxError):
+class CertificateViolation(SolverFailure):
     """A certificate check failed: weak duality or an exact verification did not hold."""

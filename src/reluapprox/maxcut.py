@@ -110,9 +110,11 @@ def sdp_relaxation(Q: np.ndarray) -> SdpSolution:
     raises NonConvergence. The result is a pure function of Q.
     """
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.size == 0:
+        raise ValueError(f"Q must be a nonempty square matrix, got shape {Q.shape}")
     Q = 0.5 * (Q + Q.T)
     m = Q.shape[0]
-    eigmin = float(np.linalg.eigvalsh(Q).min()) if m else 0.0
+    eigmin = float(np.linalg.eigvalsh(Q).min())
     if eigmin < -1e-6 * max(1.0, np.abs(Q).max()):
         raise ValueError(f"Q must be PSD (min eigenvalue {eigmin:.3e})")
     absQ = np.abs(Q)
@@ -159,19 +161,14 @@ def _package(Q, S, zeta, it, polished) -> SdpSolution:
 def psd_factor(Z: np.ndarray) -> np.ndarray:
     """A factor L with L L' = Z, for drawing r = L g ~ N(0, Z).
 
-    Z is projected up to the PSD cone and renormalized to unit diagonal if
-    slightly infeasible (an eigenvalue below -1e-6).
+    Z must be PSD: its callers pass the unit-diagonal positive definite
+    rounding matrices of the SDP solves. An eigenvalue below -1e-6 raises
+    ValueError; eigenvalues above it are clipped at zero.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     w, V = np.linalg.eigh(0.5 * (Z + Z.T))
     if w.min() < -1e-6:
-        Zc = (V * np.maximum(w, 0.0)) @ V.T
-        dg = np.diag(Zc)
-        if np.any(dg <= 1e-12):
-            raise FactorizationFailure("covariance collapsed while projecting to PSD")
-        D = 1.0 / np.sqrt(dg)
-        Z = Zc * np.outer(D, D)
-        w, V = np.linalg.eigh(Z)
+        raise ValueError(f"covariance must be PSD (min eigenvalue {w.min():.3e})")
     L = V * np.sqrt(np.maximum(w, 0.0))
     if not np.all(np.isfinite(L)):
         raise FactorizationFailure("non-finite factor")

@@ -242,13 +242,12 @@ class ExactPrimal:
     blocks: np.ndarray
     masks: np.ndarray  # the 0/1 pattern of each block, row for row
     lam: np.ndarray  # margin multipliers diag(y) lam >= 0
-    arch: str
     gap: float
 
 
 def exact_primal(
     ds: Dataset,
-    loss: Optional[LossModel] = None,
+    loss: LossModel = LossModel.max_margin(),
     arch: str = "relu",
     patterns: Optional[PatternSet] = None,
     tol: float = 1e-9,
@@ -263,7 +262,6 @@ def exact_primal(
     network. ``masks`` holds each block's pattern: for ``relu`` the nonzero
     patterns twice, for the blocks of either output sign.
     """
-    loss = loss or LossModel.max_margin()
     if patterns is None:
         patterns = enumerate_patterns(ds.X)
     if arch not in ("relu", "gated"):
@@ -278,7 +276,6 @@ def exact_primal(
         blocks=res.blocks,
         masks=(prob.row_weights != 0.0).astype(np.int8),
         lam=res.lam,
-        arch=arch,
         gap=res.gap,
     )
 

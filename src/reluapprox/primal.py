@@ -73,10 +73,6 @@ class GatedReluNetwork:
     W1: np.ndarray  # d x m
     w2: np.ndarray  # m
 
-    @property
-    def width(self) -> int:
-        return self.W1.shape[1]
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         gates = (X @ self.H >= 0.0).astype(float)
         return (gates * (X @ self.W1)) @ self.w2
@@ -121,9 +117,8 @@ class EvalReport:
     feasible: bool
 
 
-def evaluate_network(net: Network, ds: Dataset, loss: Optional[LossModel] = None) -> EvalReport:
+def evaluate_network(net: Network, ds: Dataset, loss: LossModel = LossModel.max_margin()) -> EvalReport:
     """Exact forward pass: objective, weight decay, margins, feasibility."""
-    loss = loss or LossModel.max_margin()
     if net.W1.shape[0] != ds.d:
         raise DimensionMismatch(f"network expects d={net.W1.shape[0]}, dataset has d={ds.d}")
     f = net.predict(ds.X)
@@ -240,7 +235,7 @@ def _round_block(X_block, lam_block, Z, k, guard_rows, loss, rng):
 
 def solve_primal_negcorr(
     ds: Dataset,
-    loss: Optional[LossModel] = None,
+    loss: LossModel = LossModel.max_margin(),
     eps0: float = 0.1,
     delta: float = 0.05,
     seed: int = 0,
@@ -250,8 +245,9 @@ def solve_primal_negcorr(
     """End-to-end primal pipeline for negative-correlation data.
 
     Each label block's lam and SDP matrix come from the label-block dual
-    certificate (solved here unless ``dual_cert`` gives one of ``ds``;
-    any other certificate raises ValueError). :func:`_round_block` rounds
+    certificate (solved here unless ``dual_cert`` gives one; a certificate
+    of another dataset or loss, or one without label blocks, raises
+    ValueError). :func:`_round_block` rounds
     the block into gate patterns that stay off the other class and solves
     its masked group-norm program; the solution's balanced-scale neurons
     (dead ones dropped) form the gated network, which achieves exactly
@@ -262,16 +258,13 @@ def solve_primal_negcorr(
         raise ValueError("need eps0 > 0 and 0 < delta < 1")
     if k_override is not None and k_override < 1:
         raise ValueError("k_override must be a positive sample count")
-    loss = loss or LossModel.max_margin()
     if dual_cert is None:
         dual_cert = solve_dual_negcorr(ds, loss)
+    if dual_cert.dataset != ds or dual_cert.loss != loss:
+        raise ValueError("dual_cert certifies another dataset or loss")
     if "block_info" not in dual_cert.meta:
         raise ValueError("dual_cert is not a label-block (negcorr or geo) certificate")
-    if np.shape(dual_cert.lam) != (ds.n,):
-        raise ValueError(f"dual_cert has lam of shape {np.shape(dual_cert.lam)}, expected ({ds.n},)")
     lam_blocks = ds.split_dual(dual_cert.lam)
-    if any(np.any(lam_b < 0.0) for lam_b in lam_blocks):
-        raise ValueError("dual_cert's lam is sign-infeasible for the dataset's labels")
     if ds.n == 0:
         raise Unrealizable("empty dataset")
     rng = np.random.default_rng(np.random.SeedSequence([982451653, seed]))

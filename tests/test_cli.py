@@ -8,10 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reluapprox import cli, oracle
+from reluapprox import cli, errors, oracle
 from reluapprox.cli import main
 from reluapprox.dataset import generate_synthetic, save_dataset
 from reluapprox.errors import CertificateViolation
+from reluapprox.oracle import exact_dual
 
 
 @pytest.fixture()
@@ -124,6 +125,28 @@ def test_oracle_enumerates_patterns_once(capsys, tmp_path, monkeypatch):
     assert calls == [(7, 2)]
 
 
+def test_oracle_solves_the_relu_program_once(capsys, tmp_path, monkeypatch):
+    # the max-margin ReLU program gives P_relu, D and lambda*; the gated one P_gated
+    calls = []
+    solve = oracle.solve_min_sum_norms
+
+    def counted(prob, **kwargs):
+        calls.append(prob.k)
+        return solve(prob, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_min_sum_norms", counted)
+    ds = generate_synthetic("general", 7, 2, seed=0)
+    path = tmp_path / "gen.csv"
+    save_dataset(ds, str(path))
+    code, out = run_cli(capsys, "oracle", "--input", str(path))
+    assert code == 0, out
+    report = json.loads(out)
+    assert len(calls) == 2
+    D, lam_star = exact_dual(ds, tol=1e-8)
+    assert report["D"] == D
+    assert report["lam_star"] == lam_star.tolist()
+
+
 _FLAGS = {
     "classify": {"--input", "--tol-class"},
     "solve": {
@@ -177,6 +200,62 @@ def test_maxcut_needs_two_samples(capsys, tmp_path, k):
     code, out = run_cli(capsys, "maxcut", "--matrix", str(path), "--k", k)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("matrix", [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], []], ids=["3x2", "empty"])
+def test_maxcut_needs_nonempty_square_matrix(capsys, tmp_path, matrix):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(matrix))
+    code, out = run_cli(capsys, "maxcut", "--matrix", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert "nonempty square matrix" in error["message"]
+
+
+def test_verify_accepts_consistent_bounds(capsys, tmp_path, toy_csv):
+    net_path = tmp_path / "net.json"
+    code, out = run_cli(capsys, "solve", "--input", toy_csv, "--output", str(net_path))
+    assert code == 0
+    solved = json.loads(out)
+    code, out = run_cli(
+        capsys, "verify", "--network", str(net_path), "--input", toy_csv,
+        "--p", repr(solved["p"]), "--lower", repr(solved["lower"]),
+    )
+    assert code == 0
+    gate = json.loads(out)["certificate"]
+    assert gate["accepted"] is True
+    assert gate["reason"] == "within certified ratio"
+
+
+# exit 3 for a regime mismatch, 4 for a solver failure, 2 for every other error
+_EXIT_CODES = {
+    "WrongRegime": 3,
+    **dict.fromkeys(
+        [
+            "SolverFailure", "NonConvergence", "Unrealizable", "Infeasible", "Unbounded", "TooLarge",
+            "CapExceeded", "FactorizationFailure", "GenerationFailed", "ZeroDenominator", "CertificateViolation",
+        ],
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "exc_type",
+    [obj for obj in vars(errors).values() if isinstance(obj, type) and issubclass(obj, errors.ReluApproxError)],
+    ids=lambda cls: cls.__name__,
+)
+def test_error_exit_codes(capsys, toy_csv, monkeypatch, exc_type):
+    def failing(args, argv):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "_cmd_classify", failing)
+    code, out = run_cli(capsys, "classify", "--input", toy_csv)
+    assert code == _EXIT_CODES.get(exc_type.__name__, 2)
+    report = json.loads(out)
+    assert report["error"] == {"type": exc_type.__name__, "message": "boom"}
+    assert report["command"] == ["classify", "--input", toy_csv]
 
 
 def test_solve_classifies_with_exact_signs(capsys, tmp_path):

@@ -225,8 +225,22 @@ def test_dual_block_values_exact_above_budget(monkeypatch):
 # --- min-sum-of-norms ------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "row_weights,cone_signs,message",
+    [
+        ([[1.0, 1.0, 1.0]], None, "one column per data row"),
+        (np.zeros((0, 2)), None, "at least one block"),
+        ([[1.0, 1.0], [0.0, 0.0]], None, "nonempty row coupling"),
+        ([[1.0, 1.0], [1.0, 0.0]], [[1.0, 1.0]], "cone_signs must have one row per block"),
+    ],
+)
+def test_msn_problem_rejects_malformed_input(row_weights, cone_signs, message):
+    with pytest.raises(ValueError, match=message):
+        MinSumNormsProblem(np.eye(2), row_weights, cone_signs=cone_signs)
+
+
 def test_msn_single_active_constraint():
-    prob = MinSumNormsProblem.from_masks(np.array([[1.0, 0.0]]), np.array([[1.0]]))
+    prob = MinSumNormsProblem(np.array([[1.0, 0.0]]), np.array([[1.0]]))
     res = solve_min_sum_norms(prob)
     assert abs(res.value - 1.0) < 1e-8
     assert np.allclose(res.blocks, [[1.0, 0.0]], atol=1e-7)
@@ -234,7 +248,7 @@ def test_msn_single_active_constraint():
 
 def test_msn_two_blocks_hand_value():
     X = np.array([[1.0], [-1.0]])
-    prob = MinSumNormsProblem.from_masks(X, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    prob = MinSumNormsProblem(X, np.array([[1.0, 0.0], [0.0, 1.0]]))
     res = solve_min_sum_norms(prob)
     assert abs(res.value - 2.0) < 1e-8
     assert abs(res.blocks[0, 0] - 1.0) < 1e-6
@@ -244,7 +258,7 @@ def test_msn_two_blocks_hand_value():
 def test_msn_hinge_zero_network():
     X = np.array([[1.0], [-1.0]])
     loss = LossModel.hinge(beta=10.0)
-    prob = MinSumNormsProblem.from_masks(X, np.array([[1.0, 1.0]]), loss=loss)
+    prob = MinSumNormsProblem(X, np.array([[1.0, 1.0]]), loss=loss)
     res = solve_min_sum_norms(prob)
     assert abs(res.value - 2.0) < 1e-8  # n * ell(0)
     assert np.linalg.norm(res.blocks) < 1e-6
@@ -257,7 +271,7 @@ def test_msn_duality_gap_certified():
         base = rng.standard_normal(d)
         base /= np.linalg.norm(base)
         X = 0.3 * rng.standard_normal((n, d)) + base
-        prob = MinSumNormsProblem.from_masks(X, np.ones((1, n)))
+        prob = MinSumNormsProblem(X, np.ones((1, n)))
         res = solve_min_sum_norms(prob, tol=1e-8)
         assert res.gap <= 1e-8 * (1.0 + abs(res.value))
         assert res.dual_value <= res.value + 1e-12
@@ -272,7 +286,7 @@ def test_msn_full_support_block_exact(monkeypatch):
     monkeypatch.setattr(conic, "_interior_point_socp", _forbid)
     monkeypatch.setattr(conic, "_phase1_feasible", _forbid)
     X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    res = solve_min_sum_norms(MinSumNormsProblem.from_masks(X, np.ones((1, 3))), tol=1e-9)
+    res = solve_min_sum_norms(MinSumNormsProblem(X, np.ones((1, 3))), tol=1e-9)
     assert abs(res.value - math.sqrt(2.0)) <= 1e-12
     assert res.iterations == 0
     assert res.gap <= 1e-9 * (1.0 + res.value)
@@ -282,7 +296,7 @@ def test_msn_full_support_block_feasible_not_optimal(monkeypatch):
     # the all-ones block needs |u| ~ 20; the two one-row blocks need 1 + 1/sqrt(1.01)
     monkeypatch.setattr(conic, "_phase1_feasible", _forbid)
     X = np.array([[1.0, 0.0], [-1.0, 0.1]])
-    res = solve_min_sum_norms(MinSumNormsProblem.from_masks(X, [[1, 1], [1, 0], [0, 1]]), tol=1e-9)
+    res = solve_min_sum_norms(MinSumNormsProblem(X, [[1, 1], [1, 0], [0, 1]]), tol=1e-9)
     assert abs(res.value - (1.0 + 1.0 / math.sqrt(1.01))) <= 1e-9 * (1.0 + res.value)
     assert res.iterations > 0
 
@@ -298,7 +312,7 @@ def test_msn_full_support_block_infeasible_program_feasible(monkeypatch):
 
     monkeypatch.setattr(conic, "_phase1_feasible", counted)
     X = np.array([[1.0], [-1.0]])
-    res = solve_min_sum_norms(MinSumNormsProblem.from_masks(X, [[1, 1], [1, 0], [0, 1]]), tol=1e-9)
+    res = solve_min_sum_norms(MinSumNormsProblem(X, [[1, 1], [1, 0], [0, 1]]), tol=1e-9)
     assert abs(res.value - 2.0) <= 1e-9 * 3.0
     assert len(calls) == 1
 
@@ -306,14 +320,14 @@ def test_msn_full_support_block_infeasible_program_feasible(monkeypatch):
 def test_msn_infeasible_margin_raises():
     # duplicate point with opposite required signs
     X = np.array([[1.0], [1.0]])
-    prob = MinSumNormsProblem.from_masks(X, np.array([[1.0, -1.0]]))
+    prob = MinSumNormsProblem(X, np.array([[1.0, -1.0]]))
     with pytest.raises(Infeasible):
         solve_min_sum_norms(prob)
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
 def test_msn_rejects_tol_that_is_not_finite_positive(tol):
-    prob = MinSumNormsProblem.from_masks(np.array([[1.0, 0.0]]), np.array([[1.0]]))
+    prob = MinSumNormsProblem(np.array([[1.0, 0.0]]), np.array([[1.0]]))
     with pytest.raises(ValueError, match="tol"):
         solve_min_sum_norms(prob, tol=tol)
 
@@ -685,7 +699,7 @@ def test_phase1_feasible_point_meets_every_row():
 def test_phase1_infeasible_returns_none():
     # u >= 1 and -u >= 1 on the one block coupled to both rows
     X = np.array([[1.0], [-1.0]])
-    assert conic._phase1_feasible(MinSumNormsProblem.from_masks(X, [[1, 1]])) is None
+    assert conic._phase1_feasible(MinSumNormsProblem(X, [[1, 1]])) is None
     # a relu program whose two rows are one point with both labels
     Xd = np.array([[1.0], [1.0]])
     ds = Dataset(Xd, [1, -1])

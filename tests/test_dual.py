@@ -138,7 +138,7 @@ def test_block_negcorr_vs_maxcut_sdp_oracle(kind, loss):
         ds = generate_synthetic(kind, 8, 3, seed=seed)
         for Xb in (ds.X_plus, ds.X_minus):
             for radius in (r, 0.3 * r):
-                _, lam, info = dual._block_negcorr(Xb, loss, radius)
+                lam, info = dual._block_negcorr(Xb, loss, radius)
                 upper = sdp_relaxation(dual_quadratic(Xb, lam)).upper
                 assert 0.25 * upper <= radius**2 * (1.0 + 1e-8)
                 Z = info["Z"]
@@ -258,8 +258,8 @@ def test_geo_feasible_on_general_data(monkeypatch, loss):
     c, r = 0.5, (1.0 if loss.name == "maxmargin" else loss.beta)
     reference = []
     for r_plus, r_minus in ((r, c * r), (c * r, r)):
-        _, lam_p, _ = dual._block_negcorr(ds.X_plus, loss, r_plus)
-        _, lam_m, _ = dual._block_negcorr(ds.X_minus, loss, r_minus)
+        lam_p, _ = dual._block_negcorr(ds.X_plus, loss, r_plus)
+        lam_m, _ = dual._block_negcorr(ds.X_minus, loss, r_minus)
         reference.append(loss.g_total(ds.merge_dual(lam_p, lam_m), ds.y))
     calls = []
     block = dual._block_negcorr

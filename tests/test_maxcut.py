@@ -27,6 +27,17 @@ from reluapprox.maxcut import (
 )
 
 
+@pytest.mark.parametrize("Q", [np.ones((3, 2)), np.zeros((0, 0)), []], ids=["3x2", "0x0", "empty-list"])
+def test_sdp_needs_nonempty_square_matrix(Q):
+    with pytest.raises(ValueError, match="nonempty square matrix"):
+        sdp_relaxation(Q)
+
+
+def test_psd_factor_rejects_indefinite_covariance():
+    with pytest.raises(ValueError, match="PSD"):
+        psd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 def test_brute_identity():
     val, _ = maxcut_bruteforce(np.eye(2))
     assert val == 2.0

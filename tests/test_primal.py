@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import reluapprox.maxcut as maxcut
 from reluapprox.dataset import Dataset, LossModel, generate_synthetic
 from reluapprox.dual import check_dual_feasibility, solve_dual_negcorr, solve_dual_ortho
-from reluapprox.errors import CertificateViolation, DimensionMismatch, GenerationFailed, ZeroDirection
+from reluapprox import primal
+from reluapprox.errors import CertificateViolation, DimensionMismatch, GenerationFailed, Infeasible, ZeroDirection
 from reluapprox.oracle import exact_primal
 from reluapprox.primal import (
     GatedReluNetwork,
@@ -214,7 +215,7 @@ def test_negcorr_rejects_certificate_without_block_info():
 def test_negcorr_rejects_certificate_of_other_size():
     ds = generate_synthetic("negative_correlation", 8, 3, seed=5)
     other = generate_synthetic("negative_correlation", 9, 3, seed=5)
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="another dataset"):
         solve_primal_negcorr(ds, dual_cert=solve_dual_negcorr(other))
 
 
@@ -223,8 +224,67 @@ def test_negcorr_rejects_sign_infeasible_certificate():
     # sign on every row of ds
     ds = generate_synthetic("negative_correlation", 8, 3, seed=5)
     mirrored = Dataset(-ds.X, -ds.y)
-    with pytest.raises(ValueError, match="sign-infeasible"):
+    with pytest.raises(ValueError, match="another dataset"):
         solve_primal_negcorr(ds, dual_cert=solve_dual_negcorr(mirrored))
+
+
+def test_negcorr_rejects_certificate_of_rescaled_data():
+    # same size and labels, so lam has the right shape and signs: only the
+    # recorded dataset tells the certificate apart
+    ds = generate_synthetic("negative_correlation", 8, 3, seed=0)
+    with pytest.raises(ValueError, match="another dataset"):
+        solve_primal_negcorr(ds, dual_cert=solve_dual_negcorr(Dataset(ds.X * 0.5, ds.y)))
+
+
+def test_negcorr_rejects_certificate_of_other_loss():
+    ds = generate_synthetic("negative_correlation", 8, 3, seed=0)
+    cert = solve_dual_negcorr(ds)
+    assert cert.dataset == ds and cert.loss == LossModel.max_margin()
+    with pytest.raises(ValueError, match="another dataset or loss"):
+        solve_primal_negcorr(ds, LossModel.hinge(0.5), dual_cert=cert)
+
+
+def test_negcorr_doubling_retry_certifies(monkeypatch):
+    # one draw per block: the first masked program is infeasible, so the
+    # block doubles its draws and the retry certifies
+    raised = []
+    solve = primal.solve_min_sum_norms
+
+    def counted(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except Infeasible:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(primal, "solve_min_sum_norms", counted)
+    ds = generate_synthetic("negative_correlation", 10, 3, seed=2)
+    res = solve_primal_negcorr(ds, seed=2, k_override=1)
+    assert raised
+    assert res.k == (1, 1)
+    assert res.p >= res.lower - 1e-9 * (1 + res.lower)
+    ev = evaluate_network(res.network, ds)
+    assert ev.feasible
+    assert abs(ev.objective - res.p) <= 1e-9 * (1 + res.p)
+
+
+@pytest.mark.parametrize("loss", [LossModel.max_margin(), LossModel.hinge(0.5)], ids=lambda l: l.name)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("label", [1, -1])
+def test_negcorr_one_label_data(loss, seed, label):
+    # one block is empty: its dual block is empty and the primal skips it
+    X = np.random.default_rng(seed).standard_normal((6, 3))
+    ds = Dataset(X, np.full(6, label))
+    cert = solve_dual_negcorr(ds, loss)
+    assert cert.meta["block_info"][label == 1] == {"eps": 0.0}
+    res = solve_primal_negcorr(ds, loss, seed=seed)
+    assert res.k[label == 1] == 0
+    assert res.p >= res.lower - 1e-9 * (1 + res.lower)
+    P = exact_primal(ds, loss).value
+    assert res.p >= P - 1e-6 * (1 + P)
+    ev = evaluate_network(res.network, ds, loss)
+    assert ev.feasible
+    assert abs(ev.objective - res.p) <= 1e-9 * (1 + res.p)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
