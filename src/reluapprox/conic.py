@@ -4,10 +4,12 @@ All three kernels are deterministic and need only numpy and scipy
 (scipy for the phase-1 LP, the compiled NNLS and LAPACK routines). The
 box least squares is the finite bounded-variable method of Stark and
 Parker, batched over the target points of one generator matrix. The min-sum-of-norms solver is
-column generation. A second-order cone master over a working set of blocks
-is solved by a primal-dual interior-point method with Nesterov-Todd
-scaling; each Newton step factors a square-root matrix that is upper
-triangular but for a few dense rows, by LAPACK's triangular-pentagonal QR,
+column generation. A cone master over a working set of blocks, with one
+orthant, one family of second-order cones and a diagonal quadratic
+objective (nonzero only for the squared hinge's slacks), is solved by a
+primal-dual interior-point method with Nesterov-Todd scaling; each Newton
+step factors a square-root matrix that is upper triangular but for the n
+dense margin rows, by LAPACK's triangular-pentagonal QR,
 and applies the cone operators slice by slice on flat vectors. The master
 is priced against every block's dual constraint, evaluated for all blocks
 at once and exactly wherever it can exceed the budget (with cone rows, by
@@ -383,10 +385,10 @@ def _certify(prob, U, lam_raw, beta_norm):
     return pval, dval, U, lam, theta
 
 
-# The master program is a second-order cone program min c'x s.t. A x - b in K,
-# K a product of a nonnegative orthant and second-order cones. Vectors in K's
-# space are flat: the orthant part first, then each group of equal-sized
-# cones as one slice, viewed as a (count, dim) array whose rows are the cones.
+# The master program is a cone program min c'x + x'Px/2 s.t. A x - b in K, with
+# P diagonal and K a product of a nonnegative orthant and second-order cones of
+# one dimension. Vectors in K's space are flat: the orthant part first, then
+# the cones as one slice, viewed as a (count, dim) array whose rows are the cones.
 
 
 def _soc_det(x):
@@ -418,62 +420,54 @@ def _soc_roots(x, dx):
 
 
 class _ConeProduct:
-    """The cone R^nl_+ x Q^{d_1} x ..., with ``socs`` a list of (count, dim) groups.
+    """The cone R^nl_+ x (Q^dim)^count: an orthant, then ``count`` second-order cones of dimension ``dim``.
 
-    ``groups`` holds each group's slice of the flat vectors and its
-    (count, dim) shape; the operators fill one output by slice.
+    Flat vectors hold the orthant part first, then the cones, which
+    :meth:`split` views as a (count, dim) array whose rows are the cones.
     """
 
-    def __init__(self, nl: int, socs: list):
-        self.nl = nl
-        self.socs = socs
-        self.degree = nl + sum(count for count, _ in socs)
-        self.groups, o = [], nl
-        for count, dim in socs:
-            self.groups.append((slice(o, o + count * dim), (count, dim)))
-            o += count * dim
+    def __init__(self, nl: int, count: int, dim: int):
+        self.nl, self.count, self.dim = nl, count, dim
+        self.degree = nl + count
 
     def split(self, v):
-        """The orthant part of v, then a (count, dim) view of each group."""
-        return [v[: self.nl]] + [v[sl].reshape(shape) for sl, shape in self.groups]
+        """The orthant part of v and a (count, dim) view of its cones."""
+        return v[: self.nl], v[self.nl :].reshape(self.count, self.dim)
 
     def identity(self):
-        cones = [np.eye(1, dim).repeat(count, 0).ravel() for count, dim in self.socs]
-        return np.concatenate([np.ones(self.nl)] + cones)
+        return np.concatenate([np.ones(self.nl), np.eye(1, self.dim).repeat(self.count, 0).ravel()])
 
     def prod(self, x, y):
         out = np.empty_like(x)
-        out[: self.nl] = x[: self.nl] * y[: self.nl]
-        for sl, shape in self.groups:
-            _soc_prod(x[sl].reshape(shape), y[sl].reshape(shape), out[sl].reshape(shape))
+        (xl, xq), (yl, yq), (ol, oq) = self.split(x), self.split(y), self.split(out)
+        ol[:] = xl * yl
+        _soc_prod(xq, yq, oq)
         return out
 
     def div(self, lam, r):
         out = np.empty_like(r)
-        out[: self.nl] = r[: self.nl] / lam[: self.nl]
-        for sl, shape in self.groups:
-            _soc_div(lam[sl].reshape(shape), r[sl].reshape(shape), out[sl].reshape(shape))
+        (ll, lq), (rl, rq), (ol, oq) = self.split(lam), self.split(r), self.split(out)
+        ol[:] = rl / ll
+        _soc_div(lq, rq, oq)
         return out
 
     def steps(self, s, ds, z, dz):
         """The largest a_s with s + a_s ds in the cone and a_z with z + a_z dz (s, z interior).
 
-        One pass over both pairs, stacked: the orthant's ratio test, then per
-        cone group the least positive real root of det(x + a dx) = 0. A
+        One pass over both pairs, stacked: the orthant's ratio test, then the
+        least positive real root of det(x + a dx) = 0 over the cones. A
         minimum is exact, so each comes out as computed one at a time.
         """
         x, dx = np.stack([s, z]), np.stack([ds, dz])
-        nl, inf = self.nl, math.inf
+        nl, dim, inf = self.nl, self.dim, math.inf
         a = np.where(dx[:, :nl] < 0, -x[:, :nl] / dx[:, :nl], inf).min(axis=1, initial=inf)
-        for sl, (count, dim) in self.groups:
-            roots = _soc_roots(x[:, sl].reshape(-1, dim), dx[:, sl].reshape(-1, dim)).reshape(2, 2, count)
-            a = np.minimum(a, np.where(roots > 0, roots, inf).min(axis=(0, 2), initial=inf))  # nan > 0 is false
+        roots = _soc_roots(x[:, nl:].reshape(-1, dim), dx[:, nl:].reshape(-1, dim)).reshape(2, 2, self.count)
+        a = np.minimum(a, np.where(roots > 0, roots, inf).min(axis=(0, 2), initial=inf))  # nan > 0 is false
         return float(a[0]), float(a[1])
 
     def min_eig(self, x):
-        xs = self.split(x)
-        cones = [(q[:, 0] - np.linalg.norm(q[:, 1:], axis=1)).min(initial=math.inf) for q in xs[1:]]
-        return min([xs[0].min(initial=math.inf)] + cones)
+        xl, xq = self.split(x)
+        return min(xl.min(initial=math.inf), (xq[:, 0] - np.linalg.norm(xq[:, 1:], axis=1)).min(initial=math.inf))
 
     def nt_scaling(self, s, z):
         """The Nesterov-Todd scaling W of the pair (s, z) and lam = W z = W^{-T} s.
@@ -481,26 +475,21 @@ class _ConeProduct:
         W is sqrt(s/z) on the orthant and beta (2 v v' - J) on each cone
         (Nesterov and Todd 1998, in the form of Vandenberghe 2010, sec. 4),
         kept with its inverse (2 J v v' J - J) / beta as (count, dim, dim)
-        arrays.
+        arrays: W = (sqrt(s/z), W_cones, W_cones^{-1}).
         """
-        ss, zs = self.split(s), self.split(z)
-        lam = np.empty_like(z)
-        lam[: self.nl] = np.sqrt(ss[0] * zs[0])
-        mats = []
-        for (sl, _), sq, zq in zip(self.groups, ss[1:], zs[1:]):
-            J = np.where(np.arange(sq.shape[1]) == 0, 1.0, -1.0)
-            sd, zd = np.sqrt(_soc_det(sq)), np.sqrt(_soc_det(zq))
-            sb, zb = sq / sd[:, None], zq / zd[:, None]
-            gamma = np.sqrt(0.5 * (1.0 + np.einsum("ij,ij->i", sb, zb)))
-            wb = (sb + zb * J) / (2.0 * gamma[:, None])
-            v = wb + np.eye(1, wb.shape[1])
-            v /= np.sqrt(2.0 * (wb[:, :1] + 1.0))
-            beta = np.sqrt(sd / zd)[:, None, None]
-            W = beta * (2.0 * v[:, :, None] * v[:, None, :] - np.diag(J))
-            Winv = (2.0 * (v * J)[:, :, None] * (v * J)[:, None, :] - np.diag(J)) / beta
-            mats.append((W, Winv))
-            lam[sl] = np.matmul(W, zq[:, :, None]).ravel()
-        return (np.sqrt(ss[0] / zs[0]), mats), lam
+        (sl, sq), (zl, zq) = self.split(s), self.split(z)
+        J = np.where(np.arange(self.dim) == 0, 1.0, -1.0)
+        sd, zd = np.sqrt(_soc_det(sq)), np.sqrt(_soc_det(zq))
+        sb, zb = sq / sd[:, None], zq / zd[:, None]
+        gamma = np.sqrt(0.5 * (1.0 + np.einsum("ij,ij->i", sb, zb)))
+        wb = (sb + zb * J) / (2.0 * gamma[:, None])
+        v = wb + np.eye(1, self.dim)
+        v /= np.sqrt(2.0 * (wb[:, :1] + 1.0))
+        beta = np.sqrt(sd / zd)[:, None, None]
+        Wq = beta * (2.0 * v[:, :, None] * v[:, None, :] - np.diag(J))
+        Winv = (2.0 * (v * J)[:, :, None] * (v * J)[:, None, :] - np.diag(J)) / beta
+        lam = np.concatenate([np.sqrt(sl * zl), np.matmul(Wq, zq[:, :, None]).ravel()])
+        return (np.sqrt(sl / zl), Wq, Winv), lam
 
     def wmul(self, W, x, inv=False, times=1):
         """W x, or W^{-1} x with ``inv``; with ``times=2`` the product is applied twice.
@@ -508,23 +497,22 @@ class _ConeProduct:
         A power of W is never formed: it loses the accuracy that the
         certification of the master's solution needs.
         """
-        wl, mats = W
-        out = np.empty_like(x)
-        q = x[: self.nl]
+        wl, Wq, Winv = W
+        (xl, xq), out = self.split(x), np.empty_like(x)
+        q = xl
         for _ in range(times):
             q = q / wl if inv else q * wl
         out[: self.nl] = q
-        for (sl, (count, dim)), (Wm, Winv) in zip(self.groups, mats):
-            q = x[sl].reshape(count, dim, 1)
-            for _ in range(times):
-                q = np.matmul(Winv if inv else Wm, q)
-            out[sl] = q.ravel()
+        q = xq[:, :, None]
+        for _ in range(times):
+            q = np.matmul(Winv if inv else Wq, q)
+        out[self.nl :] = q.ravel()
         return out
 
     def winv(self, W):
-        """The diagonal sqrt(z/s) of the orthant and the (count, dim, dim) W^{-1} of each group."""
-        wl, mats = W
-        return 1.0 / wl, [Winv for _, Winv in mats]
+        """The diagonal sqrt(z/s) of the orthant and the (count, dim, dim) W^{-1} of the cones."""
+        wl, _, Winv = W
+        return 1.0 / wl, Winv
 
 
 SOCP_MAX_STEPS = 80
@@ -561,16 +549,18 @@ def _normal_solver(T: np.ndarray, B: np.ndarray):
 
 @np.errstate(all="ignore")
 def _interior_point_socp(master, price=None):
-    """Solve the master's min c'x s.t. A x - b in K by a primal-dual interior-point method.
+    """Solve the master's min c'x + x'Px/2 s.t. A x - b in K by a primal-dual interior-point method.
 
     Nesterov-Todd scaling with Mehrotra's predictor-corrector (Mehrotra
-    1992). The start is the least-squares x and the least-norm z under the
-    identity scaling, each shifted into the cone (Vandenberghe 2010). Each
-    step solves the reduced Newton system H dx = A' W^{-2} bz - bx with
-    H = A' W^{-2} A = S'S, never forming H. ``master.scaled_rows`` gives
-    S = [T; B] in two parts: T, square (N = len(x)) and already upper
-    triangular, and B, the few dense rows (n margin rows, plus n + 2 for
-    the squared hinge). :func:`_normal_solver` factors [T; B] with unit
+    1992); the diagonal P (``master.P``) enters the Newton system directly,
+    as in the quadratic cone programs of Vandenberghe 2010. The start is
+    x = (A'A + P)^{-1} A'b and z = A (A'A + P)^{-1} c, the least-squares x
+    and least-norm z where P = 0, each shifted into the cone (Vandenberghe
+    2010). Each step solves the reduced Newton system
+    H dx = A' W^{-2} bz - bx with H = A' W^{-2} A + P = S'S, never forming
+    H. ``master.scaled_rows`` gives S = [T; B] in two parts: T, square
+    (N = len(x)) and already upper triangular, and B, the n dense margin
+    rows. :func:`_normal_solver` factors [T; B] with unit
     columns by LAPACK's triangular-pentagonal QR (dtpqrt) in O(n N^2)
     flops, not the O(N^3) of a dense QR. It is the Householder QR of the
     same matrix, so the solve still sees the condition number of S, the
@@ -586,8 +576,9 @@ def _interior_point_socp(master, price=None):
     which its direction computes on the way to ds, gives the second-order
     term. The step goes 0.99 of the way to the boundary.
 
-    The error is the worst of the relative gap and the relative primal and
-    dual residuals. The loop stops when it falls below SOCP_TOL, at the
+    The error is the worst of the gap relative to the objective and the
+    relative primal and dual residuals, the dual residual being
+    A'z - c - Px. The loop stops when it falls below SOCP_TOL, at the
     first step without a new best once the best is below SOCP_STALL
     (rounding, not the central path, then drives the iterates), on a
     non-finite scaling or step, or after SOCP_MAX_STEPS; it returns the
@@ -601,9 +592,9 @@ def _interior_point_socp(master, price=None):
     so far are returned; otherwise the run goes on exactly as without it.
     """
     K = master.cones
-    A, AT, c, b = master.A, master.AT, master.c, master.b
+    A, AT, c, b, P = master.A, master.AT, master.c, master.b, master.P
     e = K.identity()
-    eye = [np.broadcast_to(np.eye(dim), (count, dim, dim)) for count, dim in K.socs]
+    eye = np.broadcast_to(np.eye(K.dim), (K.count, K.dim, K.dim))
     normal_solve = _normal_solver(*master.scaled_rows(np.ones(K.nl), eye))
     x = normal_solve(AT(b))
     s = A(x) - b
@@ -617,9 +608,10 @@ def _interior_point_socp(master, price=None):
     best = None
     for steps in range(SOCP_MAX_STEPS + 1):
         rp = A(x) - b - s
-        rd = AT(z) - c
+        rd = AT(z) - c - P * x
         gap = float(s @ z)
-        err = max(gap / (1.0 + abs(float(c @ x))), math.sqrt(rp @ rp) / nb, math.sqrt(rd @ rd) / nc)
+        obj = float(c @ x) + 0.5 * float(x @ (P * x))
+        err = max(gap / (1.0 + abs(obj)), math.sqrt(rp @ rp) / nb, math.sqrt(rd @ rd) / nc)
         stale = best is not None and err >= best[0]
         if not stale:
             best = (err, x, s, z)
@@ -636,7 +628,7 @@ def _interior_point_socp(master, price=None):
             break
 
         def solve_once(bx, bz):
-            # A' dz = bx and A dx + W'W dz = bz
+            # A' dz - P dx = bx and A dx + W'W dz = bz
             dx = normal_solve(AT(K.wmul(W, bz, inv=True, times=2)) - bx)
             return dx, K.wmul(W, bz - A(dx), inv=True, times=2)
 
@@ -649,7 +641,7 @@ def _interior_point_socp(master, price=None):
             dx, dz = solve_once(bx, bz)
             last, floor = math.inf, max(rounding, SOCP_FORCE * err) * (math.sqrt(bx @ bx) + math.sqrt(bz @ bz))
             for _ in range(rounds):
-                ex, ez = bx - AT(dz), bz - A(dx) - K.wmul(W, dz, times=2)
+                ex, ez = bx - AT(dz) + P * dx, bz - A(dx) - K.wmul(W, dz, times=2)
                 size = math.sqrt(ex @ ex) + math.sqrt(ez @ ez)
                 if not floor < size < 0.5 * last:
                     break
@@ -677,19 +669,18 @@ class _Master:
 
     ``X`` is the data in coordinates of a basis of its row space, and the
     blocks u_i are in the same coordinates. x holds (t_i, u_i) for each
-    block of W, then for a penalized loss the slacks xi (n), then for the
-    squared hinge the epigraph variable r. A x - b stacks, in this order:
+    block of W, then for a penalized loss the slacks xi (n). A x - b
+    stacks, in this order:
 
     * the n margin rows  sum_i a_i o (X u_i) (+ xi) - 1 >= 0, whose
       multipliers are the program's lam;
     * with cones, the n rows diag(cone_signs_i) X u_i >= 0 of each block;
     * for a penalized loss xi >= 0;
-    * the second-order cones (t_i, u_i);
-    * for the squared hinge (r + 1, r - 1, 2 xi), a second-order cone that
-      says r >= |xi|^2.
+    * the second-order cones (t_i, u_i).
 
-    The objective is beta_norm sum t_i, plus 1'xi for the hinge or r for the
-    squared hinge.
+    The objective c'x + x'Px/2 is beta_norm sum t_i, plus 1'xi for the
+    hinge or |xi|^2 for the squared hinge: P is the diagonal ``P``, 2 on xi
+    for the squared hinge and 0 elsewhere.
     """
 
     def __init__(self, prob: MinSumNormsProblem, X: np.ndarray, W: np.ndarray, beta_norm: float):
@@ -698,32 +689,25 @@ class _Master:
         self.X, self.n, self.m, self.d = X, n, m, d
         self.RW = prob.row_weights[W]
         self.CS = None if prob.cone_signs is None else prob.cone_signs[W]
-        self.sq = prob.loss.name == "squared_hinge"
         self.nv = m * (d + 1)
         self.nxi = n if prob.loss.penalized else 0
-        N = self.nv + self.nxi + self.sq
+        N = self.nv + self.nxi
         nl = n + (0 if self.CS is None else m * n) + self.nxi
-        socs = [(m, d + 1)] + ([(1, n + 2)] if self.sq else [])
-        self.cones = _ConeProduct(nl, socs)
+        self.cones = _ConeProduct(nl, m, d + 1)
         self.c = np.zeros(N)
         self.c[: self.nv : d + 1] = beta_norm
-        if self.sq:
-            self.c[-1] = 1.0
+        self.P = np.zeros(N)
+        if prob.loss.name == "squared_hinge":
+            self.P[self.nv :] = 2.0
         else:
             self.c[self.nv :] = 1.0  # the hinge slacks (none in the margin program)
-        self.b = np.zeros(nl + m * (d + 1) + (n + 2 if self.sq else 0))
+        self.b = np.zeros(nl + m * (d + 1))
         self.b[:n] = 1.0
-        if self.sq:
-            self.b[-(n + 2) : -n] = (-1.0, 1.0)
         # the margin rows as a dense n x len(x) matrix
         self.AR = np.zeros((n, N))
         self.AR[:, : self.nv].reshape(n, m, d + 1)[:, :, 1:] = self.RW.T[:, :, None] * X[:, None, :]
         if self.nxi:
-            self.AR[:, self.nv :] = np.eye(n, N - self.nv)
-        if self.sq:  # the epigraph cone's rows over (xi, r)
-            self.S = np.zeros((n + 2, n + 1))
-            self.S[:2, -1] = 1.0
-            self.S[2:, :n] = 2.0 * np.eye(n)
+            self.AR[:, self.nv :] = np.eye(n)
 
     def A(self, x):
         n, m, nv = self.n, self.m, self.nv
@@ -734,11 +718,8 @@ class _Master:
             V = x[:nv].reshape(m, self.d + 1)
             out[o : o + m * n] = (self.CS * (V[:, 1:] @ self.X.T)).ravel()
             o += m * n
-        out[o : o + self.nxi] = x[nv : nv + self.nxi]
-        o += self.nxi
-        out[o : o + nv] = x[:nv]
-        if self.sq:
-            out[o + nv :] = self.S @ x[nv:]
+        out[o : o + self.nxi] = x[nv:]
+        out[o + self.nxi :] = x[:nv]
         return out
 
     def AT(self, z):
@@ -749,25 +730,22 @@ class _Master:
         if self.CS is not None:
             G[:, 1:] = (self.CS * z[o : o + m * n].reshape(m, n)) @ self.X
             o += m * n
-        out[nv : nv + self.nxi] += z[o : o + self.nxi]
-        o += self.nxi
-        out[:nv] += G.ravel() + z[o : o + nv]
-        if self.sq:
-            out[nv:] += self.S.T @ z[o + nv :]
+        out[nv:] += z[o : o + self.nxi]
+        out[:nv] += G.ravel() + z[o + self.nxi :]
         return out
 
-    def scaled_rows(self, wl, winvs):
-        """Factors (T, B) with T'T + B'B = A' W^{-2} A, from the orthant's sqrt(z/s) and the cones' W^{-1}.
+    def scaled_rows(self, wl, winv):
+        """Factors (T, B) with T'T + B'B = A' W^{-2} A + P, from the orthant's sqrt(z/s) and the cones' W^{-1}.
 
         T is the len(x) x len(x) upper-triangular part: per block the
         triangular factor of its scaled cone rows stacked on W_i^{-1} (a
         batched QR, d + 1 rows each), then the diagonal of the scaled xi
-        rows; the squared hinge's r has a zero row. B holds the dense rows:
-        the n scaled margin rows, then the squared-hinge cone's n + 2 rows.
+        rows with P folded in, hypot(sqrt(z/s), sqrt(P)), which is exactly
+        sqrt(z/s) where P = 0. B holds the n scaled margin rows.
         """
         n, m, nv, d = self.n, self.m, self.nv, self.d
         N = self.AR.shape[1]
-        blocks = winvs[0]
+        blocks = winv
         o = n
         if self.CS is not None:
             C = np.zeros((m, n, d + 1))
@@ -776,13 +754,8 @@ class _Master:
             o += m * n
         T = np.zeros((N, N))
         T[:nv, :nv].reshape(m, d + 1, m, d + 1)[np.arange(m), :, np.arange(m)] = np.linalg.qr(blocks, mode="r")
-        if self.nxi:
-            T[nv : nv + n, nv : nv + n] = np.diag(wl[o:])
-        B = wl[:n, None] * self.AR
-        if self.sq:
-            B = np.vstack([B, np.zeros((n + 2, N))])
-            B[n:, nv:] = winvs[1][0] @ self.S
-        return T, B
+        T[nv:, nv:] = np.diag(np.hypot(wl[o:], np.sqrt(self.P[nv:])))  # empty without slacks
+        return T, wl[:n, None] * self.AR
 
 
 MSN_MAX_ROUNDS = 30
@@ -808,7 +781,7 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
     """Solve a min-sum-of-norms program by column generation over an interior-point master.
 
     The master is the program restricted to a working set W of blocks, a
-    second-order cone program (see :class:`_Master`) solved by
+    cone program with a diagonal quadratic objective (see :class:`_Master`) solved by
     :func:`_interior_point_socp`. W starts as the 2(n+1) blocks with the
     largest |F_i' 1|; in the margin program it also holds blocks of a feasible
     point, so no master is infeasible. Without cone rows the first try is

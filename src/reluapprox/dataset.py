@@ -47,9 +47,9 @@ class DatasetClass:
 class Dataset:
     """Training data: features ``X`` (n x d) and labels ``y`` in {-1, +1}.
 
-    Rows are validated on construction: labels must be exactly +-1 and no
-    row may be all zeros (a zero sample makes the unit-margin constraint
-    infeasible).
+    Rows are validated on construction: labels must be the numbers +-1 (not
+    strings, nulls or booleans) and no row may be all zeros (a zero sample
+    makes the unit-margin constraint infeasible).
     """
 
     def __init__(self, X, y):
@@ -59,6 +59,9 @@ class Dataset:
             raise MalformedRow(f"X must be a 2-D matrix, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise MalformedRow(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+        if y.size and y.dtype.kind not in "iuf":  # JSON strings, nulls and objects
+            bad = next((i for i, v in enumerate(y.tolist()) if type(v) not in (int, float)), 0)
+            raise BadLabel(f"label y[{bad}]={y.tolist()[bad]!r} is not the number -1 or +1")
         yi = np.asarray(np.rint(y), dtype=int)
         if not np.all((y == yi) & np.isin(yi, (-1, 1))):
             bad = int(np.flatnonzero(~(np.isin(yi, (-1, 1)) & (y == yi)))[0])
@@ -128,10 +131,13 @@ class Dataset:
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedRow(f"bad dataset JSON: {exc}") from exc
         ds = cls(X, y)
-        if "n" in obj and obj["n"] != ds.n:
-            raise MalformedRow(f"declared n={obj['n']} but X has {ds.n} rows")
-        if "d" in obj and obj["d"] != ds.d:
-            raise MalformedRow(f"declared d={obj['d']} but X has {ds.d} columns")
+        for key, size, what in (("n", ds.n, "rows"), ("d", ds.d, "columns")):
+            if key not in obj:
+                continue
+            if type(obj[key]) is not int:
+                raise MalformedRow(f"declared {key}={obj[key]!r} is not an integer")
+            if obj[key] != size:
+                raise MalformedRow(f"declared {key}={obj[key]} but X has {size} {what}")
         return ds
 
     def __eq__(self, other) -> bool:
@@ -205,10 +211,11 @@ def classify_dataset(ds: Dataset, tol: float = 0.0) -> DatasetClass:
     """Return the strictest regime whose Gram sign conditions hold.
 
     Entries within ``[-tol, tol]`` of zero count as satisfying either sign.
-    Ties (exact zeros) satisfy both closed inequalities.
+    Ties (exact zeros) satisfy both closed inequalities. A ``tol`` that is
+    not a finite nonnegative number raises ValueError.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
     Xp, Xm = ds.X_plus, ds.X_minus
     # the witness is the first violation in row-major order; argmax of a
     # boolean array finds it without listing every violation
@@ -330,9 +337,9 @@ class LossModel:
     The name fixes everything else. ``g`` and ``ell`` act coordinatewise,
     ``box_upper`` bounds the dual block variables (1 for the hinge, inf
     otherwise), and every loss but max-margin is ``penalized`` with weight
-    ``beta`` (the max-margin loss has beta = 1). Every loss has
-    g(a*lam) >= a*g(lam) for a in (0, 1]: g is linear for max-margin and
-    the hinge, and for the squared hinge a^2 <= a.
+    ``beta``, a finite positive number (the max-margin loss has beta = 1).
+    Every loss has g(a*lam) >= a*g(lam) for a in (0, 1]: g is linear for
+    max-margin and the hinge, and for the squared hinge a^2 <= a.
     """
 
     name: str
@@ -343,8 +350,8 @@ class LossModel:
             raise ValueError(f"unknown loss {self.name!r}")
         if self.name == "maxmargin" and self.beta != 1.0:
             raise ValueError("the max-margin loss has beta = 1")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be a finite positive number, got {self.beta}")
 
     @property
     def penalized(self) -> bool:

@@ -316,6 +316,31 @@ def test_tol_not_finite_positive_exit_2(capsys, toy_csv, cmd, tol):
     assert error["type"] == "ValueError" and "tol" in error["message"]
 
 
+_GENERAL = json.loads(generate_synthetic("general", 8, 3, 0).to_json())
+
+
+@pytest.mark.parametrize(
+    "data, flags, error",
+    [
+        ({"X": [[1.0]], "y": ["1"]}, ["classify"], "BadLabel"),
+        ({"X": [[1.0]], "y": [None]}, ["classify"], "BadLabel"),
+        ({"X": [[1.0]], "y": [{}]}, ["solve"], "BadLabel"),
+        ({"X": [[1.0]], "y": [1], "n": "1"}, ["classify"], "MalformedRow"),
+        (_GENERAL, ["classify", "--tol-class", "nan"], "ValueError"),
+        (_GENERAL, ["solve", "--loss", "hinge", "--beta", "inf"], "ValueError"),
+    ],
+)
+def test_bad_json_input_exit_2(capsys, tmp_path, data, flags, error):
+    # a string, null or object label raised a TypeError traceback (exit 1);
+    # --tol-class nan reported general data as orthogonal separable (exit 0);
+    # --beta inf ran no interior-point step and exited 4 with NonConvergence
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, flags[0], "--input", str(path), *flags[1:])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == error
+
+
 @pytest.mark.parametrize("method", ["negcorr", "geo", "auto"])
 @pytest.mark.parametrize("tol", ["nan", "1e-4"])
 def test_solve_tol_with_method_that_ignores_it_exit_2(capsys, tmp_path, monkeypatch, method, tol):

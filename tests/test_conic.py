@@ -332,6 +332,38 @@ def test_msn_rejects_tol_that_is_not_finite_positive(tol):
         solve_min_sum_norms(prob, tol=tol)
 
 
+def _separable_value(loss, norms):
+    """The value of the penalized program with row_weights = I, row by row.
+
+    Each row j is its own block, and the best u_j points along x_j: with
+    s = x_j'u_j >= 0 the row costs ell(s) + c s, c = beta / |x_j|, which is
+    min(1, c) for the hinge, and c - c^2 / 4 for c <= 2, else 1, for the
+    squared hinge.
+    """
+    c = loss.beta / norms
+    if loss.name == "hinge":
+        return float(np.minimum(1.0, c).sum())
+    return float(np.where(c <= 2.0, c - c * c / 4.0, 1.0).sum())
+
+
+@pytest.mark.parametrize("loss_name", ["hinge", "squared_hinge"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("cones", [False, True])
+def test_msn_penalized_separable_known_answer(loss_name, d, cones):
+    # rows of norms 0.4, 1 and 2.5: the betas fall on both sides of every
+    # kink, beta = |x_j| for the hinge and beta = 2 |x_j| for the squared hinge
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((3, d))
+    X *= (np.array([0.4, 1.0, 2.5]) / np.linalg.norm(X, axis=1))[:, None]
+    # each block's cone holds its own direction x_j, so the cones leave the optimum
+    signs = np.where(X @ X.T >= 0.0, 1.0, -1.0) if cones else None
+    for beta in (0.3, 0.6, 1.5, 2.2, 4.0, 6.0):
+        loss = LossModel.by_name(loss_name, beta)
+        res = solve_min_sum_norms(MinSumNormsProblem(X, np.eye(3), loss=loss, cone_signs=signs))
+        value = _separable_value(loss, np.linalg.norm(X, axis=1))
+        assert abs(res.value - value) <= 1e-8 * (1.0 + value), beta
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.integers(3, 8),
@@ -427,8 +459,7 @@ def _random_master(seed, loss_name, cones):
 
 def _interior(K, rng):
     """A point of the cone's interior, within 0.4 of twice its identity."""
-    dim = max([1] + [dim for _, dim in K.socs])
-    return 2.0 * K.identity() + rng.uniform(-0.4, 0.4, K.identity().size) / math.sqrt(dim)
+    return 2.0 * K.identity() + rng.uniform(-0.4, 0.4, K.identity().size) / math.sqrt(K.dim)
 
 
 @pytest.mark.parametrize(
@@ -443,13 +474,11 @@ def test_normal_solve_matches_dense_qr(loss_name, cones):
         N = T.shape[0]
         assert T.shape == (N, N) and B.shape[1] == N
         assert np.array_equal(T, np.triu(T))
-        assert B.shape[0] == master.n + (master.n + 2 if master.sq else 0)
-        if master.sq:
-            assert not T[-1].any()  # r has no triangular row; the epigraph rows in B carry it
-        # T'T + B'B is A' W^{-2} A, formed column by column from the operators
+        assert B.shape[0] == master.n
+        # T'T + B'B is A' W^{-2} A + P, formed column by column from the operators
         A = np.column_stack([master.A(col) for col in np.eye(N)])
         WinvA = np.column_stack([K.wmul(W, col, True) for col in A.T])
-        H = WinvA.T @ WinvA
+        H = WinvA.T @ WinvA + np.diag(master.P)
         assert np.allclose(T.T @ T + B.T @ B, H, rtol=1e-12, atol=1e-12 * np.abs(H).max())
         # the triangular-pentagonal solve against a dense QR of the stacked matrix
         R = scipy.linalg.qr(np.vstack([T, B]), mode="r")[0][:N]
@@ -460,16 +489,12 @@ def test_normal_solve_matches_dense_qr(loss_name, cones):
 
 
 # The cone operators as they were first written: split a flat vector into its
-# orthant part and one (count, dim) array per cone group, apply the formula
-# per group, and join the parts. The bound operators must give the same bits.
+# orthant part and a (count, dim) array of its cones, apply the formula to
+# each part, and join the parts. The bound operators must give the same bits.
 
 
 def _split(K, v):
-    parts, o = [v[: K.nl]], K.nl
-    for count, dim in K.socs:
-        parts.append(v[o : o + count * dim].reshape(count, dim))
-        o += count * dim
-    return parts
+    return [v[: K.nl], v[K.nl :].reshape(K.count, K.dim)]
 
 
 def _join(parts):
@@ -477,10 +502,9 @@ def _join(parts):
 
 
 def _ref_wmul(K, W, x, inv=False):
-    wl, mats = W
-    xs = _split(K, x)
-    cones = [np.matmul(Winv if inv else Wm, q[:, :, None])[:, :, 0] for (Wm, Winv), q in zip(mats, xs[1:])]
-    return _join([xs[0] / wl if inv else xs[0] * wl] + cones)
+    wl, Wm, Winv = W
+    xl, xq = _split(K, x)
+    return _join([xl / wl if inv else xl * wl, np.matmul(Winv if inv else Wm, xq[:, :, None])[:, :, 0]])
 
 
 def _ref_prod(K, x, y):
@@ -534,9 +558,7 @@ def _ref_A(master, x):
     parts = [master.AR @ x]
     if master.CS is not None:
         parts.append((master.CS * (V[:, 1:] @ master.X.T)).ravel())
-    parts += [x[master.nv : master.nv + master.nxi], x[: master.nv]]
-    if master.sq:
-        parts.append(master.S @ x[master.nv :])
+    parts += [x[master.nv :], x[: master.nv]]
     return np.concatenate(parts)
 
 
@@ -589,9 +611,9 @@ def test_interior_point_converges_with_few_solves(monkeypatch, loss_name, cones)
         master, _, _ = _random_master(seed, loss_name, cones)
         x, s, z, taken = conic._interior_point_socp(master)
         steps += taken
-        A, AT, b, c = master.A, master.AT, master.b, master.c
-        rp, rd = A(x) - b - s, AT(z) - c
-        assert float(s @ z) / (1.0 + abs(float(c @ x))) <= conic.SOCP_STALL
+        A, AT, b, c, P = master.A, master.AT, master.b, master.c, master.P
+        rp, rd = A(x) - b - s, AT(z) - c - P * x
+        assert float(s @ z) / (1.0 + abs(float(c @ x + x @ (P * x) / 2))) <= conic.SOCP_STALL
         assert np.linalg.norm(rp) / (1.0 + np.linalg.norm(b)) <= conic.SOCP_STALL
         assert np.linalg.norm(rd) / (1.0 + np.linalg.norm(c)) <= conic.SOCP_STALL
         assert master.cones.min_eig(s) > 0.0 and master.cones.min_eig(z) > 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,23 @@ def test_json_schema_fields():
     assert set(obj) == {"n", "d", "X", "y"}
 
 
+@pytest.mark.parametrize("y", [["1"], [None], [{}], [True], [1, "-1"]])
+def test_json_rejects_label_that_is_not_a_number(y):
+    # np.rint raised a TypeError on these; a string that parses as 1 is no label either
+    X = [[1.0]] if len(y) == 1 else [[1.0], [-1.0]]
+    with pytest.raises(BadLabel, match="is not the number -1 or"):
+        Dataset.from_json(json.dumps({"X": X, "y": y}))
+
+
+@pytest.mark.parametrize("key, value", [("n", "2"), ("d", "1"), ("n", 2.0), ("d", None), ("n", True)])
+def test_json_rejects_declared_size_that_is_not_an_integer(key, value):
+    # "n": "2" was reported as "declared n=2 but X has 2 rows"
+    with pytest.raises(MalformedRow, match=f"declared {key}=.* is not an integer"):
+        Dataset.from_json(json.dumps({"X": [[1.0], [-1.0]], "y": [1, -1], key: value}))
+    with pytest.raises(MalformedRow, match="declared n=3 but X has 2 rows"):
+        Dataset.from_json(json.dumps({"X": [[1.0], [-1.0]], "y": [1, -1], "n": 3}))
+
+
 def test_classify_two_point_line():
     ds = Dataset([[1.0], [-1.0]], [1, -1])
     assert classify_dataset(ds, 0.0).tag == ORTHO_SEPARABLE
@@ -98,6 +116,14 @@ def test_classify_monotone_in_tol():
         tols = [0.0, 0.01, 0.1, 1.0, 10.0]
         ranks = [order[classify_dataset(ds, t).tag] for t in tols]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_classify_rejects_tol_that_is_not_finite_nonnegative(tol):
+    # with tol = nan every comparison is false, so general data came out orthogonal separable
+    ds = generate_synthetic(GENERAL, 8, 3, seed=0)
+    with pytest.raises(ValueError, match="tol"):
+        classify_dataset(ds, tol)
 
 
 def _classify_by_argwhere(ds, tol):
@@ -223,6 +249,7 @@ def test_loss_model_is_its_name_and_beta():
         assert LossModel.by_name(name, 0.5) == LossModel.by_name(name, 0.5)
     assert LossModel.by_name("maxmargin", 0.5) == LossModel.max_margin()
     assert LossModel.max_margin().beta == 1.0 and not LossModel.max_margin().penalized
-    for name, beta in (("squared-hinge", 1.0), ("logistic", 1.0), ("maxmargin", 2.0), ("hinge", 0.0)):
+    rejected = [("squared-hinge", 1.0), ("logistic", 1.0), ("maxmargin", 2.0), ("hinge", 0.0), ("hinge", math.inf)]
+    for name, beta in rejected:
         with pytest.raises(ValueError):
             LossModel(name, beta)
