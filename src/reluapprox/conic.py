@@ -27,8 +27,9 @@ cone rows first tries one block coupled to every row, a least-distance
 problem solved exactly by Lawson and Hanson's NNLS; that block often
 certifies alone, and otherwise keeps every master feasible without the
 phase-1 LP. The semidefinite programs (the Max-Cut relaxation
-and the block surrogate dual) share one primal-dual interior-point loop;
-its callers certify what it returns.
+and the block surrogate dual) share one primal-dual interior-point loop,
+with a diagonal quadratic objective (nonzero only for the squared hinge's
+lam); its callers certify what it returns.
 """
 
 from __future__ import annotations
@@ -909,7 +910,7 @@ def solve_min_sum_norms(prob: MinSumNormsProblem, tol: float = 1e-8) -> MinSumNo
 # interior-point method for small semidefinite programs
 # ---------------------------------------------------------------------------
 
-SDP_GAP = 1e-10  # stop: tr(XZ) <= SDP_GAP * max(1, |b'y|)
+SDP_GAP = 1e-10  # stop: tr(XZ) <= SDP_GAP * max(1, |b'y + y'Py/2|)
 SDP_MAX_ITER = 100
 
 
@@ -926,27 +927,32 @@ def _max_step(M: np.ndarray, dM: np.ndarray) -> float:
     return -1.0 / w[0] if w[0] < 0.0 else math.inf
 
 
-def _interior_point_sdp(C: np.ndarray, A: np.ndarray, b: np.ndarray, y: np.ndarray):
-    """Solve max tr(CX) s.t. tr(A_i X) = b_i, X >= 0, and its dual, by interior points.
+def _interior_point_sdp(C: np.ndarray, A: np.ndarray, b: np.ndarray, P: np.ndarray, y: np.ndarray):
+    """Solve min b'y + y'Py/2 s.t. sum_i y_i A_i - C >= 0, and its dual, by interior points.
 
     This is the primal-dual iteration of Helmberg, Rendl, Vanderbei and
-    Wolkowicz (1996). ``A`` is an (m, N, N) stack of symmetric matrices and
-    ``y`` must make the dual slack Z = sum_i y_i A_i - C positive definite;
-    X starts at the identity. Each step solves M dy = mu A(Z^-1) - b with
-    M_ij = tr(A_i X A_j Z^-1), sets dX = mu Z^-1 - X - Z^-1 dZ X and moves
-    0.95 of the way to the boundary, capped at a full step, so X and Z stay
-    positive definite; the primal residual A(X) - b shrinks with each primal
-    step and vanishes (to rounding) at the first full one. The loop stops
-    once tr(XZ) <= 1e-10 max(1, |b'y|) or after 100 steps; a singular
-    Newton system ends it early at the last (interior) iterate. Returns
-    (X, y, Z, steps, met), ``met`` saying whether the gap target was met.
+    Wolkowicz (1996), with the diagonal quadratic objective ``P >= 0``
+    (zeros give the linear SDP) entering the Newton system directly, as in
+    Vandenberghe's cone QP solvers (2010). The dual is max tr(CX) - w'Pw/2
+    s.t. A(X) = b + Pw, X >= 0, taken at w = y. ``A`` is an (m, N, N) stack
+    of symmetric matrices and ``y`` must make the slack Z = sum_i y_i A_i - C
+    positive definite; X starts at the identity. Each step solves
+    (M + Diag P) dy = mu A(Z^-1) - b - P y with M_ij = tr(A_i X A_j Z^-1),
+    sets dX = mu Z^-1 - X - Z^-1 dZ X and moves 0.95 of the way to the
+    boundary, capped at a full step, so X and Z stay positive definite; the
+    residual A(X) - b - P y shrinks with each step and vanishes (to
+    rounding) once both steps are full. At that residual the duality gap is
+    tr(XZ). The loop stops once tr(XZ) <= 1e-10 max(1, |b'y + y'Py/2|) or
+    after 100 steps; a singular Newton system ends it early at the last
+    (interior) iterate. Returns (X, y, Z, steps, met), ``met`` saying
+    whether the gap target was met.
     """
     X = np.eye(C.shape[0])
     Z = np.tensordot(y, A, 1) - C
     step_p = step_d = 0.0
     for it in range(SDP_MAX_ITER + 1):
         gap = float(np.sum(X * Z))
-        met = gap <= SDP_GAP * max(1.0, abs(float(np.sum(b * y))))
+        met = gap <= SDP_GAP * max(1.0, abs(float(np.sum(b * y)) + 0.5 * float(np.sum(P * y * y))))
         if met or it == SDP_MAX_ITER:
             break
         # barrier parameter of HRVW: cut harder after long steps
@@ -958,8 +964,8 @@ def _interior_point_sdp(C: np.ndarray, A: np.ndarray, b: np.ndarray, y: np.ndarr
         try:
             Zi = np.linalg.inv(Z)
             Zi = 0.5 * (Zi + Zi.T)
-            M = np.einsum("ikl,jlk->ij", A @ X, A @ Zi)
-            dy = np.linalg.solve(M, mu * np.einsum("ikl,lk->i", A, Zi) - b)
+            M = np.einsum("ikl,jlk->ij", A @ X, A @ Zi) + np.diag(P)
+            dy = np.linalg.solve(M, mu * np.einsum("ikl,lk->i", A, Zi) - b - P * y)
             dZ = np.tensordot(dy, A, 1)
             dX = mu * Zi - X - (Zi @ dZ) @ X
             dX = 0.5 * (dX + dX.T)

@@ -44,24 +44,39 @@ class DatasetClass:
         return self.tag
 
 
+def _numbers(a, error: type, name: str, noun: str) -> np.ndarray:
+    """``a`` as an array whose every entry is a real number, else raise ``error``.
+
+    Numpy input of numeric dtype is taken by its dtype alone. Any other
+    input is checked entry by entry, so the first string, boolean, null or
+    object among numbers, or row of a ragged matrix, is named in the message
+    "<name>[i]...=<value> is not <noun>".
+    """
+    if isinstance(a, np.ndarray) and a.dtype.kind in "iuf":
+        return a
+    for idx, v in np.ndenumerate(np.asarray(a, dtype=object)):
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            where = "".join(f"[{i}]" for i in idx)
+            raise error(f"{name}{where}={v!r} is not {noun}")
+    return np.asarray(a)
+
+
 class Dataset:
     """Training data: features ``X`` (n x d) and labels ``y`` in {-1, +1}.
 
-    Rows are validated on construction: labels must be the numbers +-1 (not
-    strings, nulls or booleans) and no row may be all zeros (a zero sample
-    makes the unit-margin constraint infeasible).
+    Rows are validated on construction: features and labels must be numbers
+    (not strings, nulls or booleans), ``X`` a rectangular matrix, labels +-1,
+    and no row may be all zeros (a zero sample makes the unit-margin
+    constraint infeasible).
     """
 
     def __init__(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
+        X = np.asarray(_numbers(X, MalformedRow, "feature X", "a number"), dtype=float)
+        y = _numbers(y, BadLabel, "label y", "the number -1 or +1")
         if X.ndim != 2:
             raise MalformedRow(f"X must be a 2-D matrix, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise MalformedRow(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-        if y.size and y.dtype.kind not in "iuf":  # JSON strings, nulls and objects
-            bad = next((i for i, v in enumerate(y.tolist()) if type(v) not in (int, float)), 0)
-            raise BadLabel(f"label y[{bad}]={y.tolist()[bad]!r} is not the number -1 or +1")
         yi = np.asarray(np.rint(y), dtype=int)
         if not np.all((y == yi) & np.isin(yi, (-1, 1))):
             bad = int(np.flatnonzero(~(np.isin(yi, (-1, 1)) & (y == yi)))[0])

@@ -181,29 +181,26 @@ def solve_dual_ortho(ds: Dataset, loss: LossModel = LossModel.max_margin(), tol:
 
 
 def _block_sdp(X_block: np.ndarray, loss: LossModel, radius: float):
-    """The block surrogate dual as one SDP: data (C, A, b) and a strictly feasible y.
+    """The block surrogate dual as one SDP: data (C, A, b, P) and a strictly feasible y.
 
-    The variables are y = (lam, zeta) and, for the squared hinge, t. The
-    dual slack sum_i y_i A_i - C is block diagonal: the LMI
-    [[Diag(zeta), V], [V', I_d]] with V = [I; 1'] diag(lam) X, then the
-    diagonal entries lam, 4 r^2 - 1'zeta and (hinge) 1 - lam, then
-    (squared hinge) [[t, lam'], [lam, I]]. Minimizing b'y maximizes 1'lam,
-    or 1'lam - t/4. The start point scales lam = 1/|x_j| and a strictly
-    diagonally dominant zeta so that half the budget 4 r^2 is used.
+    The variables are y = (lam, zeta). The dual slack sum_i y_i A_i - C is
+    block diagonal: the LMI [[Diag(zeta), V], [V', I_d]] with V = [I; 1']
+    diag(lam) X, then the diagonal entries lam, 4 r^2 - 1'zeta and (hinge)
+    1 - lam. Minimizing b'y + y'Py/2 maximizes 1'lam, or for the squared
+    hinge 1'lam - |lam|^2/4, with P = 1/2 on lam (zero otherwise). The
+    start point scales lam = 1/|x_j| and a strictly diagonally dominant
+    zeta so that half the budget 4 r^2 is used.
     """
     nb, d = X_block.shape
     box = loss.box_upper < math.inf
-    sq = loss.name == "squared_hinge"
     j, k, e = np.arange(nb), np.arange(nb + 1), np.arange(d)
-    # slack rows: zeta part and I_d part of the LMI, lam >= 0, the budget,
-    # 1 - lam (hinge), then the squared-hinge block
+    # slack rows: zeta part and I_d part of the LMI, lam >= 0, the budget, 1 - lam (hinge)
     lmi = nb + 1 + d
     budget = lmi + nb
-    top = budget + 1 + (nb if box else 0)
-    order = top + (nb + 1 if sq else 0)
-    A = np.zeros((2 * nb + 1 + sq, order, order))
+    order = budget + 1 + (nb if box else 0)
+    A = np.zeros((2 * nb + 1, order, order))
     C = np.zeros((order, order))
-    b = np.zeros(2 * nb + 1 + sq)
+    b = np.zeros(2 * nb + 1)
     b[:nb] = -1.0
     A[nb + k, k, k] = 1.0
     for row in (j, nb):  # rows j and 1' of V
@@ -216,20 +213,16 @@ def _block_sdp(X_block: np.ndarray, loss: LossModel, radius: float):
     if box:
         A[j, budget + 1 + j, budget + 1 + j] = -1.0
         C[budget + 1 + j, budget + 1 + j] = -loss.box_upper
-    if sq:
-        A[-1, top, top] = 1.0
-        A[j, top, top + 1 + j] = A[j, top + 1 + j, top] = 1.0
-        C[top + 1 + j, top + 1 + j] = -1.0
-        b[-1] = 0.25
+    P = np.zeros(2 * nb + 1)
+    if loss.name == "squared_hinge":
+        P[:nb] = 0.5
     norms = np.linalg.norm(X_block, axis=1)
     absQ = np.abs(dual_quadratic(X_block, 1.0 / norms))
     zeta = 1.1 * absQ.sum(axis=1) + 0.1 * absQ.max()
     s = radius * math.sqrt(2.0 / zeta.sum())
     if box:
         s = min(s, 0.5 * loss.box_upper * norms.min())
-    lam = s / norms
-    y = np.concatenate([lam, s * s * zeta, [1.0 + lam @ lam] if sq else []])
-    return C, A, b, y
+    return C, A, b, P, np.concatenate([s / norms, s * s * zeta])
 
 
 def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
@@ -246,14 +239,16 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
     scales lam once by sqrt(radius^2 / bound); c2 is degree-2 homogeneous,
     so the scaled zeta certifies radius^2. ``eps`` bounds the block's
     distance to the surrogate optimum: the final interior-point gap tr(XZ),
-    plus (|y| + B) |A(X) - b| for the primal residual with B an a priori
-    bound on the optimal |y|, plus the gain the scaling gave up.
+    plus (y - w)'P(y - w)/2 for the dual point w = r / P that meets the
+    P > 0 rows of the primal residual r = A(X) - b exactly, plus
+    (|y| + B) |r| over the P = 0 rows with B an a priori bound on the
+    optimal |y|, plus the gain the scaling gave up.
     """
     nb = X_block.shape[0]
     if nb == 0:
         return np.zeros(0), {"eps": 0.0}
-    C, A, b, y0 = _block_sdp(X_block, loss, radius)
-    primal, y, slack, steps, met = _interior_point_sdp(C, A, b, y0)
+    C, A, b, P, y0 = _block_sdp(X_block, loss, radius)
+    primal, y, slack, steps, met = _interior_point_sdp(C, A, b, P, y0)
     lam = y[:nb]
     solved = float(np.sum(loss.g(lam)))
     sol = _package(dual_quadratic(X_block, lam), primal[: nb + 1, : nb + 1], y[nb : 2 * nb + 1], steps, met)
@@ -261,14 +256,21 @@ def _block_negcorr(X_block: np.ndarray, loss: LossModel, radius: float):
     r2 = radius**2
     if hi > r2:
         lam = lam * math.sqrt(r2 / hi)
-    # for the optimal y*, b'y - b'y* <= tr(XZ) - y'r + |y*| |r| with r = A(X) - b
-    # (Jansson, Chaykin and Keil 2007). |y*| is bounded a priori: lam_j <= r/|x_j|
-    # (c2(lam) >= lam_j^2 |x_j|^2) and <= 1 for the hinge, 1'zeta <= 4 r^2 with
-    # zeta >= 0, and t = |lam|^2 for the squared hinge
+    # for the optimal y*, f(y) - f(y*) <= tr(XZ) + (y - w)'P(y - w)/2 + (|y| + |y*|) |s|
+    # with f(y) = b'y + y'Py/2 and s = A(X) - b - Pw, zero on the P > 0 rows
+    # (Jansson, Chaykin and Keil 2007, with the quadratic term). |y*| is bounded
+    # a priori: lam_j <= r/|x_j| (c2(lam) >= lam_j^2 |x_j|^2) and <= 1 for the
+    # hinge, 1'zeta <= 4 r^2 with zeta >= 0
     lam2 = float(np.sum(np.minimum(radius / np.linalg.norm(X_block, axis=1), loss.box_upper) ** 2))
-    y_bound = math.sqrt(lam2 + (4.0 * r2) ** 2 + (lam2**2 if loss.name == "squared_hinge" else 0.0))
-    residual = float(np.linalg.norm(np.einsum("ijk,jk->i", A, primal) - b))
-    gap = float(np.sum(primal * slack)) + (float(np.linalg.norm(y)) + y_bound) * residual
+    y_bound = math.sqrt(lam2 + (4.0 * r2) ** 2)
+    residual = np.einsum("ijk,jk->i", A, primal) - b
+    quad = P > 0.0
+    w = residual[quad] / P[quad]
+    gap = (
+        float(np.sum(primal * slack))
+        + 0.5 * float(np.sum(P[quad] * (y[quad] - w) ** 2))
+        + (float(np.linalg.norm(y)) + y_bound) * float(np.linalg.norm(residual[~quad]))
+    )
     eps = gap + max(solved - float(np.sum(loss.g(lam))), 0.0)
     return lam, {"eps": eps, "Z": sol.Z}
 

@@ -34,10 +34,6 @@ class WrongRegime(ReluApproxError):
     """The dataset does not classify into the regime the solver requires."""
 
 
-class TooLarge(SolverFailure):
-    """Problem size exceeds the exact-enumeration cap."""
-
-
 class SignViolation(ReluApproxError):
     """A dual vector violates the sign condition diag(y) @ lam >= 0."""
 
@@ -75,7 +71,7 @@ class DimensionMismatch(ReluApproxError):
 
 
 class CapExceeded(SolverFailure):
-    """Activation-pattern enumeration exceeded its cap."""
+    """An exact enumeration (patterns, zonotope vertices, Max-Cut signs) exceeded its cap."""
 
 
 class CertificateViolation(SolverFailure):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .conic import box_lsq_batch
 from .dataset import ORTHO_SEPARABLE, Dataset, classify_dataset
-from .errors import SignViolation, TooLarge, WrongRegime
+from .errors import CapExceeded, SignViolation, WrongRegime
 
 ENUM_CAP = 20
 
@@ -61,7 +61,7 @@ def _vertex_max(m: int, score: Callable[[np.ndarray], np.ndarray]) -> tuple[floa
     the only vertex is the empty one.
     """
     if m > ENUM_CAP:
-        raise TooLarge(f"{m} generators exceed the enumeration cap {ENUM_CAP}")
+        raise CapExceeded(f"{m} generators exceed the enumeration cap {ENUM_CAP}")
     best_val, best_b = -1.0, None
     for B in binary_vertices(m):
         vals = score(B)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .conic import _interior_point_sdp, _least_distance
-from .errors import FactorizationFailure, NonConvergence, TooLarge, Unrealizable
+from .errors import CapExceeded, FactorizationFailure, NonConvergence, Unrealizable
 from .geometry import binary_vertices
 
 BRUTE_CAP = 22
@@ -52,16 +52,14 @@ def sign_pm(x: np.ndarray) -> np.ndarray:
 class SdpSolution:
     """Unit-diagonal SDP optimum with its certified bounds.
 
-    ``Z`` is unit-diagonal PSD with ``tr(ZQ) = lower``; ``zeta`` is a dual
-    diagonal with ``Diag(zeta) - Q`` PSD and ``sum(zeta) = upper``.
-    ``iterations`` counts interior-point steps and ``polished`` says whether
-    the solve met its duality-gap target.
+    ``Z`` is unit-diagonal PSD with ``tr(ZQ) = lower``; ``upper`` is the sum
+    of a dual diagonal zeta with ``Diag(zeta) - Q`` PSD. ``iterations``
+    counts interior-point steps and ``polished`` says whether the solve met
+    its duality-gap target.
     """
 
     Z: np.ndarray
     objective: float
-    zeta: np.ndarray
-    comp_slack: float
     lower: float  # certified feasible objective
     upper: float  # certified dual bound
     iterations: int = 0
@@ -84,7 +82,7 @@ def maxcut_bruteforce(Q: np.ndarray, cap: int = BRUTE_CAP) -> tuple[float, np.nd
     Q = 0.5 * (Q + Q.T)
     m = Q.shape[0]
     if m > cap:
-        raise TooLarge(f"m={m} exceeds the brute-force cap {cap}")
+        raise CapExceeded(f"m={m} exceeds the brute-force cap {cap}")
     best_val, best_z = -math.inf, None
     for B in binary_vertices(m - 1):
         Zb = np.empty((B.shape[0], m))
@@ -122,7 +120,7 @@ def sdp_relaxation(Q: np.ndarray) -> SdpSolution:
     y = 1.1 * absQ.sum(axis=1) + 0.1 * max(absQ.max(), 1e-12)
     A = np.zeros((m, m, m))
     A[np.arange(m), np.arange(m), np.arange(m)] = 1.0
-    X, y, _, it, gap_met = _interior_point_sdp(Q, A, np.ones(m), y)
+    X, y, _, it, gap_met = _interior_point_sdp(Q, A, np.ones(m), np.zeros(m), y)
     sol = _package(Q, X, y, it, gap_met)
     rel_gap = (sol.upper - sol.lower) / max(1.0, abs(sol.upper))
     if rel_gap > SDP_CERT_GAP:
@@ -143,14 +141,10 @@ def _package(Q, S, zeta, it, polished) -> SdpSolution:
     # certified dual bound: shift zeta until diag(zeta) - Q is PSD
     Sdual = np.diag(zeta) - Q
     lam_min = float(np.linalg.eigvalsh(0.5 * (Sdual + Sdual.T)).min())
-    zeta_feas = zeta + max(0.0, -lam_min)
-    upper = float(np.sum(zeta_feas))
-    comp = float(np.linalg.norm((np.diag(zeta_feas) - Q) @ Z_feas))
+    upper = float(np.sum(zeta + max(0.0, -lam_min)))
     return SdpSolution(
         Z=Z_feas,
         objective=0.5 * (lower + upper) if upper >= lower else lower,
-        zeta=zeta_feas,
-        comp_slack=comp,
         lower=lower,
         upper=upper,
         iterations=it,
@@ -211,7 +205,7 @@ def c1_value(X: np.ndarray, lam: np.ndarray) -> float:
 
     Equals max over binary masks b of ||X' diag(lam) b||^2; the zonotope
     vertex maximum provides the independent cross-check. More than
-    BRUTE_CAP rows raise :class:`TooLarge`.
+    BRUTE_CAP rows raise :class:`CapExceeded`.
     """
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < -1e-12):
@@ -237,29 +231,11 @@ def c2_value_and_gradient(X: np.ndarray, lam: np.ndarray) -> tuple[float, SdpSol
     lam = np.asarray(lam, dtype=float)
     n = X.shape[0]
     if not np.any(lam != 0.0):
-        sol = SdpSolution(
-            Z=np.eye(n + 1), objective=0.0, zeta=np.zeros(n + 1), comp_slack=0.0,
-            lower=0.0, upper=0.0,
-        )
-        return 0.0, sol, np.zeros(n)
-    Q = dual_quadratic(X, lam)
-    sol = sdp_relaxation(Q)
-    value = 0.25 * sol.objective
-    grad = c2_fixed_gradient(X, lam, sol.Z)
-    return value, sol, grad
-
-
-def c2_fixed_gradient(X: np.ndarray, lam: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Gradient of (1/4) tr(Z Q(lam)) in lam for fixed Z.
-
-    A library function behind :func:`c2_value_and_gradient`; no solver path
-    calls it. With Z an interior-point solution it approximates the
-    envelope gradient of c2 to about the square root of the SDP's gap.
-    """
-    n = X.shape[0]
-    K = X @ X.T
-    P = Z[:n, :n] + np.outer(Z[:n, n], np.ones(n)) + np.outer(np.ones(n), Z[n, :n]) + Z[n, n]
-    return 0.5 * (P * K) @ np.asarray(lam, dtype=float)
+        return 0.0, SdpSolution(Z=np.eye(n + 1), objective=0.0, lower=0.0, upper=0.0), np.zeros(n)
+    sol = sdp_relaxation(dual_quadratic(X, lam))
+    Z = sol.Z
+    P = Z[:n, :n] + Z[:n, n:] + Z[n:, :n] + Z[n, n]
+    return 0.25 * sol.objective, sol, 0.5 * (P * (X @ X.T)) @ lam
 
 
 @dataclass

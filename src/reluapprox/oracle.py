@@ -196,7 +196,7 @@ def enumerate_patterns(X: np.ndarray) -> PatternSet:
     return PatternSet(masks=masks, realizers=realizers)
 
 
-def pattern_constraint_value(ds: Dataset, lam: np.ndarray, patterns: Optional[PatternSet] = None) -> float:
+def pattern_constraint_value(ds: Dataset, lam: np.ndarray) -> float:
     """Dual-constraint value max_u |lam'(Xu)_+| via cone-restricted patterns.
 
     For each cell's pattern M the inner maximization of |lam' M X u| over
@@ -208,9 +208,7 @@ def pattern_constraint_value(ds: Dataset, lam: np.ndarray, patterns: Optional[Pa
     """
     X = ds.X
     lam = np.asarray(lam, dtype=float)
-    if patterns is None:
-        patterns = enumerate_patterns(X)
-    M = patterns.masks.astype(float)
+    M = enumerate_patterns(X).masks.astype(float)
     V = (M * lam) @ X
     S = 2.0 * M - 1.0
     P = _project_cones(np.vstack([V, -V]), np.vstack([S, S]), X)
@@ -242,7 +240,6 @@ class ExactPrimal:
     blocks: np.ndarray
     masks: np.ndarray  # the 0/1 pattern of each block, row for row
     lam: np.ndarray  # margin multipliers diag(y) lam >= 0
-    gap: float
 
 
 def exact_primal(
@@ -276,15 +273,10 @@ def exact_primal(
         blocks=res.blocks,
         masks=(prob.row_weights != 0.0).astype(np.int8),
         lam=res.lam,
-        gap=res.gap,
     )
 
 
-def exact_dual(
-    ds: Dataset,
-    tol: float = 1e-9,
-    patterns: Optional[PatternSet] = None,
-) -> tuple[float, np.ndarray]:
+def exact_dual(ds: Dataset, tol: float = 1e-9) -> tuple[float, np.ndarray]:
     """Exact dual optimum D and a maximizer lambda*.
 
     Solves the cone-constrained pattern primal (whose value equals D, there
@@ -293,7 +285,7 @@ def exact_dual(
     reproduce exactly the dual constraint max_u |lam'(Xu)_+| <= 1.
     """
     try:
-        res = exact_primal(ds, LossModel.max_margin(), arch="relu", patterns=patterns, tol=tol)
+        res = exact_primal(ds, LossModel.max_margin(), arch="relu", tol=tol)
     except Infeasible:
         raise Unbounded("max-margin dual unbounded: primal margin system infeasible") from None
     lam_star = ds.y * res.lam  # kernel multipliers are diag(y) lam >= 0

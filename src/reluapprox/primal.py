@@ -161,9 +161,6 @@ def build_network_ortho(
 @dataclass
 class Certificate:
     accepted: bool
-    p: float
-    lower: float
-    rho: float
     reason: str
 
 
@@ -181,10 +178,10 @@ def certify(p: float, lower: float, rho: float) -> Certificate:
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
     if _below_lower(p, lower):
-        return Certificate(False, p, lower, rho, "p below the dual lower bound (weak duality violated)")
+        return Certificate(False, "p below the dual lower bound (weak duality violated)")
     if p > lower / rho * (1.0 + 1e-8):
-        return Certificate(False, p, lower, rho, f"p exceeds lower/rho = {lower / rho:.6g}")
-    return Certificate(True, p, lower, rho, "within certified ratio")
+        return Certificate(False, f"p exceeds lower/rho = {lower / rho:.6g}")
+    return Certificate(True, "within certified ratio")
 
 
 @dataclass

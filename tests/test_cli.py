@@ -233,7 +233,7 @@ _EXIT_CODES = {
     "WrongRegime": 3,
     **dict.fromkeys(
         [
-            "SolverFailure", "NonConvergence", "Unrealizable", "Infeasible", "Unbounded", "TooLarge",
+            "SolverFailure", "NonConvergence", "Unrealizable", "Infeasible", "Unbounded",
             "CapExceeded", "FactorizationFailure", "GenerationFailed", "ZeroDenominator", "CertificateViolation",
         ],
         4,
@@ -328,10 +328,16 @@ _GENERAL = json.loads(generate_synthetic("general", 8, 3, 0).to_json())
         ({"X": [[1.0]], "y": [1], "n": "1"}, ["classify"], "MalformedRow"),
         (_GENERAL, ["classify", "--tol-class", "nan"], "ValueError"),
         (_GENERAL, ["solve", "--loss", "hinge", "--beta", "inf"], "ValueError"),
+        ({"X": [[1.0], [-1.0]], "y": [1, True]}, ["classify"], "BadLabel"),
+        ({"X": [["1"], ["-1"]], "y": [1, -1]}, ["classify"], "MalformedRow"),
+        ({"X": [[True], [-1.0]], "y": [1, -1]}, ["solve"], "MalformedRow"),
+        ({"X": [[1.0, 2.0], [1.0]], "y": [1, -1]}, ["classify"], "MalformedRow"),
     ],
 )
 def test_bad_json_input_exit_2(capsys, tmp_path, data, flags, error):
     # a string, null or object label raised a TypeError traceback (exit 1);
+    # a boolean label among numbers, and a string or boolean feature, were read
+    # as numbers (exit 0); a ragged X raised numpy's ValueError;
     # --tol-class nan reported general data as orthogonal separable (exit 0);
     # --beta inf ran no interior-point step and exited 4 with NonConvergence
     path = tmp_path / "data.json"

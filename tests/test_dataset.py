@@ -71,12 +71,24 @@ def test_json_schema_fields():
     assert set(obj) == {"n", "d", "X", "y"}
 
 
-@pytest.mark.parametrize("y", [["1"], [None], [{}], [True], [1, "-1"]])
+@pytest.mark.parametrize("y", [["1"], [None], [{}], [True], [1, "-1"], [1, True]])
 def test_json_rejects_label_that_is_not_a_number(y):
-    # np.rint raised a TypeError on these; a string that parses as 1 is no label either
+    # np.rint raised a TypeError on these; a string that parses as 1 is no label
+    # either, and a boolean among numbers was read as the label 1
     X = [[1.0]] if len(y) == 1 else [[1.0], [-1.0]]
     with pytest.raises(BadLabel, match="is not the number -1 or"):
         Dataset.from_json(json.dumps({"X": X, "y": y}))
+
+
+@pytest.mark.parametrize(
+    "X, where",
+    [([["1"], ["-1"]], r"X\[0\]\[0\]='1'"), ([[1.0], [True]], r"X\[1\]\[0\]=True"), ([[1, 2], [1]], r"X\[0\]=\[1, 2\]")],
+    ids=["string", "boolean", "ragged"],
+)
+def test_json_rejects_feature_that_is_not_a_number(X, where):
+    # strings and booleans were read as numbers, and a ragged X raised numpy's bare ValueError
+    with pytest.raises(MalformedRow, match=f"{where} is not a number"):
+        Dataset.from_json(json.dumps({"X": X, "y": [1, -1]}))
 
 
 @pytest.mark.parametrize("key, value", [("n", "2"), ("d", "1"), ("n", 2.0), ("d", None), ("n", True)])

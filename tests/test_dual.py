@@ -182,6 +182,56 @@ def test_negcorr_exact_on_ortho_data(loss):
         assert 0.0 <= D - cert.objective <= cert.eps + 1e-12 * (1 + D)
 
 
+def _orthogonal_block_optimum(a, loss, radius):
+    """max sum g(lam) s.t. sum a_j lam_j^2 <= radius^2, 0 <= lam <= box, by bisection on mu.
+
+    Rows with squared norms ``a`` that are mutually orthogonal have c2(lam) =
+    sum a_j lam_j^2, so this is the block surrogate dual in closed form: by
+    KKT, lam_j(mu) solves g'(lam) = 2 mu a_j lam, clipped to the box.
+    """
+
+    def lam_of(mu):
+        if loss.name == "squared_hinge":  # g'(lam) = 1 - lam/2
+            lam = 1.0 / (2.0 * mu * a + 0.5)
+        else:  # g'(lam) = 1
+            lam = 1.0 / (2.0 * mu * a) if mu > 0.0 else np.full(a.shape, math.inf)
+        return np.minimum(lam, loss.box_upper)
+
+    if np.sum(a * lam_of(0.0) ** 2) <= radius**2:
+        return lam_of(0.0)
+    lo, hi = 0.0, 1.0
+    while np.sum(a * lam_of(hi) ** 2) > radius**2:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.sum(a * lam_of(mid) ** 2) > radius**2 else (lo, mid)
+    return lam_of(hi)
+
+
+@pytest.mark.parametrize(
+    "loss",
+    [LossModel.max_margin()] + [make(beta) for make in (LossModel.hinge, LossModel.squared_hinge) for beta in (0.05, 0.5, 2.0)],
+    ids=lambda l: f"{l.name}-{l.beta:g}",
+)
+@pytest.mark.parametrize("nb", [1, 2, 3, 5])
+@pytest.mark.parametrize("extra", [0, 2], ids=["d=nb", "d=nb+2"])
+def test_block_sdp_known_answer_on_orthogonal_rows(loss, nb, extra):
+    # with orthogonal rows the SDP is attained at Z = 11', so the block's
+    # optimum is known without any SDP
+    rng = np.random.default_rng(10 * nb + extra)
+    d = nb + extra
+    basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    X = basis[:nb] * rng.uniform(0.5, 2.0, size=(nb, 1))
+    radius = loss.beta
+    lam, info = dual._block_negcorr(X, loss, radius)
+    want = _orthogonal_block_optimum(np.sum(X * X, axis=1), loss, radius)
+    v = float(np.sum(loss.g(want)))
+    assert abs(float(np.sum(loss.g(lam))) - v) <= 1e-9 * (1.0 + abs(v))
+    assert np.abs(lam - want).max() <= 1e-5
+    # eps bounds the distance to the optimum
+    assert abs(v - float(np.sum(loss.g(lam)))) <= info["eps"] + 1e-12 * (1.0 + v)
+
+
 def test_negcorr_wrong_regime():
     ds = Dataset([[1.0, 0.0], [0.5, 0.866]], [1, -1])
     with pytest.raises(WrongRegime):

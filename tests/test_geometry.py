@@ -6,7 +6,7 @@ from scipy.spatial import cKDTree
 
 from reluapprox.conic import box_lsq_batch
 from reluapprox.dataset import Dataset, generate_synthetic
-from reluapprox.errors import SignViolation, TooLarge, WrongRegime
+from reluapprox.errors import CapExceeded, SignViolation, WrongRegime
 from reluapprox.geometry import (
     dual_constraint_maximin,
     hausdorff_distance,
@@ -62,7 +62,7 @@ def test_vertex_max_no_generators():
 
 
 def test_vertex_max_cap():
-    with pytest.raises(TooLarge):
+    with pytest.raises(CapExceeded):
         zonotope_vertex_max(np.ones((2, 25)))
 
 

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 import reluapprox.maxcut as maxcut
 from reluapprox import conic
 from reluapprox.dataset import Dataset
-from reluapprox.errors import TooLarge, Unrealizable
+from reluapprox.errors import CapExceeded, Unrealizable
 from reluapprox.geometry import zonotope_vertex_max
 from reluapprox.maxcut import (
     DROP_TOL,
     c1_value,
-    c2_fixed_gradient,
     c2_value_and_gradient,
     dual_quadratic,
     gw_round,
@@ -50,7 +49,7 @@ def test_brute_rank_one():
 
 
 def test_brute_cap():
-    with pytest.raises(TooLarge):
+    with pytest.raises(CapExceeded):
         maxcut_bruteforce(np.eye(23))
 
 
@@ -83,8 +82,8 @@ def test_sdp_upper_bounds_bruteforce():
         sol = sdp_relaxation(Q)
         assert opt <= sol.upper + 1e-6
         assert sol.lower <= sol.upper + 1e-9
-        # complementary slackness diagnostic
-        assert sol.comp_slack <= 1e-5 * (1 + abs(sol.objective))
+        # complementary slackness: tr((Diag(zeta) - Q) Z) = upper - lower for unit-diagonal Z
+        assert sol.upper - sol.lower <= 1e-5 * (1 + abs(sol.objective))
 
 
 @st.composite
